@@ -1,28 +1,25 @@
-package shared
+package main
 
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
 	"amoeba"
+	"amoeba/internal/experiments"
+	"amoeba/shared"
 	"amoeba/wal"
 )
 
-// This file measures what the durable history costs and buys: ordered
-// throughput through a replicated state machine with journaling off, on, and
-// fsynced, and cold-start recovery time against log size. Unlike the
-// paper-reproduction experiments (internal/experiments) it runs on the live
-// in-memory fabric and a real disk in real time, so absolute numbers vary by
-// host; the RATIOS are the measurement. cmd/amoeba-bench renders it as the
-// "durable" experiment and CI commits it as BENCH_durable.json.
+// The durable experiment measures what the durable history costs and buys:
+// ordered throughput through a replicated state machine with journaling off,
+// on, and fsynced, and cold-start recovery time against log size.
 
-// DurableBenchThroughput is one journaling mode's ordered-throughput point.
-type DurableBenchThroughput struct {
+// durableThroughput is one journaling mode's ordered-throughput point.
+type durableThroughput struct {
 	// Mode is "memory" (no log), "wal" (journal, OS-buffered), or
 	// "wal+fsync" (journal, fsync per record).
 	Mode       string  `json:"mode"`
@@ -31,8 +28,8 @@ type DurableBenchThroughput struct {
 	VsMemory float64 `json:"vs_memory"`
 }
 
-// DurableBenchRecovery is one cold-start recovery timing.
-type DurableBenchRecovery struct {
+// durableRecovery is one cold-start recovery timing.
+type durableRecovery struct {
 	// Entries is the journaled entry count at crash time.
 	Entries int `json:"entries"`
 	// Checkpointed reports whether a snapshot checkpoint covered the
@@ -46,23 +43,22 @@ type DurableBenchRecovery struct {
 	Replayed uint64 `json:"replayed"`
 }
 
-// DurableBenchResult is the full durable experiment.
-type DurableBenchResult struct {
-	Throughput []DurableBenchThroughput `json:"throughput"`
-	Recovery   []DurableBenchRecovery   `json:"recovery"`
+type durableResult struct {
+	Throughput []durableThroughput `json:"throughput"`
+	Recovery   []durableRecovery   `json:"recovery"`
 }
 
-// benchSM is a minimal state machine for the measurement: apply counts
+// counterSM is a minimal state machine for the measurement: apply counts
 // commands, snapshots are 8 bytes.
-type benchSM struct{ n uint64 }
+type counterSM struct{ n uint64 }
 
-func (s *benchSM) Apply([]byte) { s.n++ }
-func (s *benchSM) Snapshot() ([]byte, error) {
+func (s *counterSM) Apply([]byte) { s.n++ }
+func (s *counterSM) Snapshot() ([]byte, error) {
 	out := make([]byte, 8)
 	binary.BigEndian.PutUint64(out, s.n)
 	return out, nil
 }
-func (s *benchSM) Restore(snap []byte) error {
+func (s *counterSM) Restore(snap []byte) error {
 	if len(snap) >= 8 {
 		s.n = binary.BigEndian.Uint64(snap)
 	}
@@ -70,17 +66,71 @@ func (s *benchSM) Restore(snap []byte) error {
 }
 
 const (
-	durableBenchMembers = 3
-	durableBenchCmds    = 4000
-	durableBenchBurst   = 32
-	durableBenchPayload = 64
+	durableMembers = 3
+	durableCmds    = 4000
+	durableBurst   = 32
+	durablePayload = 64
 )
+
+// durable runs the throughput points, then the recovery points.
+func durable(ctx context.Context) (*experiments.Table, any, error) {
+	res := &durableResult{}
+	var base float64
+	for _, mode := range []string{"memory", "wal", "wal+fsync"} {
+		cps, err := durableThroughputPoint(ctx, mode)
+		if err != nil {
+			return nil, nil, fmt.Errorf("durable throughput (%s): %w", mode, err)
+		}
+		r := durableThroughput{Mode: mode, CmdsPerSec: cps}
+		if base == 0 {
+			base = cps
+		}
+		if base > 0 {
+			r.VsMemory = cps / base
+		}
+		res.Throughput = append(res.Throughput, r)
+	}
+	for _, p := range []struct {
+		entries int
+		ckpt    bool
+	}{{1000, false}, {10000, false}, {50000, false}, {50000, true}} {
+		r, err := durableRecoveryPoint(p.entries, p.ckpt)
+		if err != nil {
+			return nil, nil, fmt.Errorf("durable recovery (%d entries): %w", p.entries, err)
+		}
+		res.Recovery = append(res.Recovery, r)
+	}
+
+	t := &experiments.Table{
+		ID:        "Durable history",
+		Title:     "write-ahead log: ordered throughput by journaling mode, and cold-start recovery time vs log size (live fabric + real disk)",
+		PaperNote: "the paper's history is in-memory only (r crashes lose nothing, a whole-cluster power loss everything); the WAL extends the fault-tolerance-for-performance trade to full restarts",
+		Columns:   []string{"case", "result", "note"},
+	}
+	for _, r := range res.Throughput {
+		t.Rows = append(t.Rows, []string{
+			"ordered throughput, " + r.Mode,
+			fmt.Sprintf("%.0f cmds/s", r.CmdsPerSec),
+			fmt.Sprintf("%.2fx in-memory", r.VsMemory),
+		})
+	}
+	for _, r := range res.Recovery {
+		label := fmt.Sprintf("recovery, %d entries", r.Entries)
+		if r.Checkpointed {
+			label += " + checkpoint"
+		}
+		t.Rows = append(t.Rows, []string{
+			label,
+			fmt.Sprintf("%.2f ms", r.RecoverMs),
+			fmt.Sprintf("%d KiB log, %d replayed", r.LogBytes/1024, r.Replayed),
+		})
+	}
+	return t, res, nil
+}
 
 // durableThroughputPoint measures ordered commands/s through a 3-member
 // replicated state machine in the given journaling mode.
-func durableThroughputPoint(mode string) (float64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
+func durableThroughputPoint(ctx context.Context, mode string) (float64, error) {
 	network := amoeba.NewMemoryNetwork()
 	defer network.Close()
 
@@ -95,29 +145,29 @@ func durableThroughputPoint(mode string) (float64, error) {
 	}
 
 	name := "durable-bench-" + mode
-	reps := make([]*Replica, 0, durableBenchMembers)
+	reps := make([]*shared.Replica, 0, durableMembers)
 	defer func() {
 		for _, r := range reps {
 			r.Close()
 		}
 	}()
-	for i := 0; i < durableBenchMembers; i++ {
+	for i := 0; i < durableMembers; i++ {
 		k, err := network.NewKernel(fmt.Sprintf("bench-%s-%d", mode, i))
 		if err != nil {
 			return 0, err
 		}
-		var r *Replica
+		var r *shared.Replica
 		switch {
 		case mode == "memory" && i == 0:
-			r, err = Create(ctx, k, name, &benchSM{}, amoeba.GroupOptions{})
+			r, err = shared.Create(ctx, k, name, &counterSM{}, amoeba.GroupOptions{})
 		case mode == "memory":
-			r, err = Join(ctx, k, name, &benchSM{}, amoeba.GroupOptions{})
+			r, err = shared.Join(ctx, k, name, &counterSM{}, amoeba.GroupOptions{})
 		default:
-			r, err = Open(ctx, k, name, &benchSM{}, amoeba.GroupOptions{}, Durability{
+			r, err = shared.Open(ctx, k, name, &counterSM{}, amoeba.GroupOptions{}, shared.Durability{
 				Dir:       filepath.Join(dir, fmt.Sprintf("r%d", i)),
 				Sync:      mode == "wal+fsync",
 				Rank:      i,
-				Peers:     durableBenchMembers,
+				Peers:     durableMembers,
 				Bootstrap: true,
 			})
 		}
@@ -127,8 +177,8 @@ func durableThroughputPoint(mode string) (float64, error) {
 		reps = append(reps, r)
 	}
 
-	payload := make([]byte, durableBenchPayload)
-	burst := make([][]byte, durableBenchBurst)
+	payload := make([]byte, durablePayload)
+	burst := make([][]byte, durableBurst)
 	for i := range burst {
 		burst[i] = payload
 	}
@@ -142,33 +192,32 @@ func durableThroughputPoint(mode string) (float64, error) {
 	}
 	applied := func() uint64 {
 		var n uint64
-		reps[0].Read(func(sm StateMachine) { n = sm.(*benchSM).n })
+		reps[0].Read(func(sm shared.StateMachine) { n = sm.(*counterSM).n })
 		return n
 	}
 	// Warm up, then measure until the submitting member has applied all.
-	if err := submit(10 * durableBenchBurst); err != nil {
+	if err := submit(10 * durableBurst); err != nil {
 		return 0, err
 	}
 	base := applied()
 	start := time.Now()
-	if err := submit(durableBenchCmds); err != nil {
+	if err := submit(durableCmds); err != nil {
 		return 0, err
 	}
-	err := reps[0].Wait(ctx, func(sm StateMachine) bool {
-		return sm.(*benchSM).n >= base+durableBenchCmds
+	err := reps[0].Wait(ctx, func(sm shared.StateMachine) bool {
+		return sm.(*counterSM).n >= base+durableCmds
 	})
 	if err != nil {
 		return 0, err
 	}
-	elapsed := time.Since(start)
-	return float64(durableBenchCmds) / elapsed.Seconds(), nil
+	return float64(durableCmds) / time.Since(start).Seconds(), nil
 }
 
 // durableRecoveryPoint journals entries (128-byte payloads, 16-entry batch
 // records), optionally checkpoints the whole history, then times a cold
 // open + restore + replay.
-func durableRecoveryPoint(entries int, checkpointed bool) (DurableBenchRecovery, error) {
-	res := DurableBenchRecovery{Entries: entries, Checkpointed: checkpointed}
+func durableRecoveryPoint(entries int, checkpointed bool) (durableRecovery, error) {
+	res := durableRecovery{Entries: entries, Checkpointed: checkpointed}
 	dir, err := os.MkdirTemp("", "amoeba-durable-recovery-")
 	if err != nil {
 		return res, err
@@ -214,7 +263,7 @@ func durableRecoveryPoint(entries int, checkpointed bool) (DurableBenchRecovery,
 		return res, err
 	}
 	defer l2.Close()
-	var sm benchSM
+	var sm counterSM
 	if _, err := l2.Recover(
 		func(snap []byte, seq uint32) error { return sm.Restore(snap) },
 		func(e wal.Entry) error { sm.Apply(e.Payload); return nil },
@@ -224,49 +273,4 @@ func durableRecoveryPoint(entries int, checkpointed bool) (DurableBenchRecovery,
 	res.RecoverMs = float64(time.Since(start).Microseconds()) / 1000
 	res.Replayed = l2.Stats().RecoveredEntries
 	return res, nil
-}
-
-// MeasureDurable runs the full durable experiment.
-func MeasureDurable() (*DurableBenchResult, error) {
-	out := &DurableBenchResult{}
-	var base float64
-	for _, mode := range []string{"memory", "wal", "wal+fsync"} {
-		cps, err := durableThroughputPoint(mode)
-		if err != nil {
-			return nil, fmt.Errorf("durable throughput (%s): %w", mode, err)
-		}
-		r := DurableBenchThroughput{Mode: mode, CmdsPerSec: cps}
-		if base == 0 {
-			base = cps
-		}
-		if base > 0 {
-			r.VsMemory = cps / base
-		}
-		out.Throughput = append(out.Throughput, r)
-	}
-	for _, p := range []struct {
-		entries int
-		ckpt    bool
-	}{{1000, false}, {10000, false}, {50000, false}, {50000, true}} {
-		r, err := durableRecoveryPoint(p.entries, p.ckpt)
-		if err != nil {
-			return nil, fmt.Errorf("durable recovery (%d entries): %w", p.entries, err)
-		}
-		out.Recovery = append(out.Recovery, r)
-	}
-	return out, nil
-}
-
-// DurableBenchJSON renders the experiment for BENCH_durable.json.
-func DurableBenchJSON(res *DurableBenchResult) ([]byte, error) {
-	out := struct {
-		Experiment string              `json:"experiment"`
-		Unit       string              `json:"unit"`
-		Results    *DurableBenchResult `json:"results"`
-	}{
-		Experiment: "durable",
-		Unit:       "ordered cmds/sec (3-member replicated SM, 64 B cmds, live in-memory fabric) and recovery wall-ms (128 B entries, real disk)",
-		Results:    res,
-	}
-	return json.MarshalIndent(out, "", "  ")
 }

@@ -86,7 +86,10 @@ func BatchedResults(model netsim.CostModel) ([]BatchedResult, error) {
 	return results, nil
 }
 
-// BatchedTable renders a depth sweep as an experiment table.
+// BatchedTable renders a depth sweep as an experiment table: the batching
+// claim of the paper's conclusion 1. Sequencer-based ordering is
+// processing-bound, so coalescing requests multiplies per-group throughput
+// without touching the protocol's guarantees.
 func BatchedTable(results []BatchedResult) *Table {
 	t := &Table{
 		ID:        "Batched ordering",
@@ -104,18 +107,6 @@ func BatchedTable(results []BatchedResult) *Table {
 		})
 	}
 	return t
-}
-
-// Batched reproduces the batching claim of the paper's conclusion 1 as a
-// table: sequencer-based ordering is processing-bound, so coalescing
-// requests multiplies per-group throughput without touching the protocol's
-// guarantees.
-func Batched(model netsim.CostModel) (*Table, error) {
-	results, err := BatchedResults(model)
-	if err != nil {
-		return nil, err
-	}
-	return BatchedTable(results), nil
 }
 
 // BatchedJSON renders a depth sweep for BENCH_batched.json.

@@ -186,3 +186,69 @@ func TestAuditNowForcesComparison(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestAuditHealthDegradesAndHeals walks the health rollup through a node's
+// crash and return: a self-auditing cluster rolls up ok, degrades once a node
+// killed without a goodbye stops reporting (its audit reports stale out), and
+// heals to ok after the node rejoins through state transfer — with no
+// divergence at any point, since every replica's state is honest.
+func TestAuditHealthDegradesAndHeals(t *testing.T) {
+	ctx := ctxT(t, 120*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	hub := obs.NewHub(obs.Options{Node: "health-test"})
+	const period = 100 * time.Millisecond
+	aud := hub.Health()
+	aud.SetStaleAfter(6 * period)
+	opts := Options{
+		Shards:     2,
+		AuditEvery: period,
+		Group:      amoeba.GroupOptions{Resilience: 1, AutoReset: true, MinSurvivors: 1, Obs: hub},
+	}
+	stores := newCluster(t, ctx, net, "heal", 3, opts)
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[0].NewClient()
+	for i := 0; i < 32; i++ {
+		if err := cl.Put(ctx, fmt.Sprintf("h-%d", i), []byte("v")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	cl.Close()
+
+	waitVerdict := func(want, phase string) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for aud.Rollup("kv/heal/") != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: rollup stuck at %q, want %q\n%s", phase, aud.Rollup("kv/heal/"), want, aud.Format("kv/heal/"))
+			}
+			time.Sleep(period / 4)
+		}
+	}
+	waitVerdict(obs.VerdictOK, "initial audit")
+
+	// Kill the last node: no Leave, no goodbye.
+	const victim = 2
+	stores[victim].Close()
+	waitVerdict(obs.VerdictDegraded, "after the kill")
+
+	// Rejoin the same slot on a fresh kernel.
+	k, err := net.NewKernel("heal-node-2-rejoin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejoin := opts
+	rejoin.NodeIndex = victim
+	if stores[victim], err = Join(ctx, k, "heal", rejoin); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	waitVerdict(obs.VerdictOK, "after the rejoin")
+
+	if divs := aud.Divergences(); len(divs) != 0 {
+		t.Fatalf("honest cluster reported a divergence: %v", divs[0])
+	}
+}

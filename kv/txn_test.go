@@ -261,6 +261,36 @@ func TestTxnBankTransfersConcurrent(t *testing.T) {
 	if sum := bankSum(t, ctx, cl, keys); sum != total {
 		t.Fatalf("final sum = %d, want %d", sum, total)
 	}
+
+	// A coordinator retry under a pinned command id must answer the
+	// original commit from the recorded decision: re-execution would fail
+	// the conditions (the balances already moved) and answer CondFailed.
+	snap, err := cl.MGet(ctx, keys[0], keys[1])
+	if err != nil {
+		t.Fatalf("MGet: %v", err)
+	}
+	from, _ := strconv.Atoi(string(snap[keys[0]]))
+	to, _ := strconv.Atoi(string(snap[keys[1]]))
+	req := &Request{Op: ReqTxn, ID: 0xCAFE_2BC0,
+		Conds: []TxnCond{
+			{Key: keys[0], ExpectPresent: true, Expect: snap[keys[0]]},
+			{Key: keys[1], ExpectPresent: true, Expect: snap[keys[1]]},
+		},
+		Writes: []TxnWrite{
+			{Key: keys[0], Val: []byte(strconv.Itoa(from - 1))},
+			{Key: keys[1], Val: []byte(strconv.Itoa(to + 1))},
+		}}
+	for attempt := 0; attempt < 2; attempt++ {
+		if resp, err := cl.Do(ctx, req); err != nil || !resp.OK || resp.CondFailed {
+			t.Fatalf("pinned-id transfer, attempt %d = %+v, %v", attempt, resp, err)
+		}
+	}
+	if v, _, err := cl.Get(ctx, keys[0]); err != nil || string(v) != strconv.Itoa(from-1) {
+		t.Fatalf("%s = %q %v after the retried transfer, want %d", keys[0], v, err, from-1)
+	}
+	if sum := bankSum(t, ctx, cl, keys); sum != total {
+		t.Fatalf("sum after the retried transfer = %d, want %d", sum, total)
+	}
 }
 
 // TestMGetSnapshotRegression pins the consistent-MGet bugfix: a writer keeps

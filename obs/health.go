@@ -395,7 +395,7 @@ func (a *Auditor) Divergences() []Divergence {
 }
 
 // Forget drops all state for scopes matching prefix — used when a cluster is
-// torn down but its hub lives on (selftest sweeps, benches).
+// torn down but its hub lives on to audit the next one.
 func (a *Auditor) Forget(prefix string) {
 	if a == nil {
 		return
