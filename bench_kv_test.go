@@ -14,8 +14,8 @@ package amoeba_test
 // is virtual-time throughput; ns/op measures the simulator itself.
 //
 // The Native benches measure this library's real single-host performance
-// (latency of the write, sequenced-read, local-read, and scatter-gather
-// paths). They cannot demonstrate shard scaling: in-process, all "machines"
+// (latency of the write, sequenced-read, local-read, and cross-shard
+// snapshot-read paths). They cannot demonstrate shard scaling: in-process, all "machines"
 // time-share the host's CPUs, so spreading sequencers buys no aggregate
 // cycles — that is what the simulator's per-machine CPU model is for.
 
@@ -159,7 +159,8 @@ func BenchmarkKVLocalGet(b *testing.B) {
 	}
 }
 
-// BenchmarkKVMGet measures a scatter-gather read of 16 keys across 4 shards.
+// BenchmarkKVMGet measures a snapshot read of 16 keys across 4 shards (a
+// read-only transaction).
 func BenchmarkKVMGet(b *testing.B) {
 	stores := benchCluster(b, 4, 2)
 	ctx := context.Background()

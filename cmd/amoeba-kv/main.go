@@ -19,7 +19,8 @@
 //	                                (bounded-staleness read, e.g. SGET k 500ms)
 //	DEL <key>                    -> OK true|false              (existed?)
 //	CAS <key> <old|-> <new>      -> OK true|false              ("-" = expect absent)
-//	MGET <key> <key> ...         -> VALUE <k>=<v> ...
+//	MGET <key> <key> ...         -> VALUE <k>=<v> ...           (consistent snapshot:
+//	                                a read-only transaction when the keys span shards)
 //	TXN [GET k] [PUT k v]
 //	    [DEL k] [IF k v|-] ...   -> COMMITTED <k>=<v> ... | ABORTED   (atomic cross-shard txn)
 //	RESHARD <n>                  -> OK epoch=<e> shards=<n>            (live split/merge)

@@ -294,8 +294,9 @@ func (s *Store) auditTick(ctx context.Context) {
 }
 
 // AuditNow submits one audit to every hosted shard and waits for each to
-// apply locally, regardless of whether a periodic driver is running. Tests
-// and the wire-protocol HEALTH path use it to force a fresh comparison.
+// apply locally (retrying across a replica swap, like every command),
+// regardless of whether a periodic driver is running. Tests and the
+// wire-protocol HEALTH path use it to force a fresh comparison.
 func (s *Store) AuditNow(ctx context.Context) error {
 	aud := s.opts.Group.Obs.Health()
 	node := auditNodeName(s.opts.NodeIndex)
@@ -304,17 +305,12 @@ func (s *Store) AuditNow(ctx context.Context) error {
 			continue
 		}
 		id := s.nextCmdID()
-		if err := r.Submit(ctx, encodeAudit(id, defaultAuditRanges)); err != nil {
-			return fmt.Errorf("kv: audit shard %d: %w", i, err)
+		if _, err := s.do(ctx, i, []uint64{id}, encodeAudit(id, defaultAuditRanges)); err != nil {
+			return fmt.Errorf("kv: audit: %w", err)
 		}
-		err := r.Wait(ctx, func(sm shared.StateMachine) bool {
-			_, done := sm.(*mapSM).results[id]
-			return done
-		})
-		if err != nil {
-			return fmt.Errorf("kv: audit shard %d: %w", i, err)
+		if r = s.Replica(i); r != nil {
+			aud.Progress(auditScope(s.name, i), node, r.Applied())
 		}
-		aud.Progress(auditScope(s.name, i), node, r.Applied())
 	}
 	return nil
 }

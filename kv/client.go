@@ -346,15 +346,31 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// retryMoved runs op until it answers anything but errMoved, pausing between
+// tries while the handoff that froze or moved its range completes; each try
+// re-splits the request under the routing table of the moment.
+func retryMoved(ctx context.Context, op func() (*Response, error)) (*Response, error) {
+	for {
+		resp, err := op()
+		if !errors.Is(err, errMoved) {
+			return resp, err
+		}
+		if err := sleepCtx(ctx, movedRetryDelay); err != nil {
+			return nil, err
+		}
+	}
+}
+
 // --- The generic entry point -------------------------------------------------
 
 // Do executes one access-protocol request: the single entry every public
 // method, the amoeba-kv daemon, and the Service proxy route through. Command
-// ids are assigned here if the request does not carry them; multi-shard
-// requests (ReqGet over several keys, ReqBatchPut) are split by the routing
-// table and scatter-gathered, each part over its own best path. Operations
-// that land on a range mid-handoff are held and retried internally until
-// the epoch flips — the ids make the retries exactly-once.
+// ids are assigned here if the request does not carry them. A ReqGet whose
+// keys span shards runs as a read-only transaction, so the values form one
+// atomic snapshot; a multi-shard ReqBatchPut is split by the routing table,
+// each part over its own best path. Operations that land on a range
+// mid-handoff are held and retried internally until the epoch flips — the
+// ids make the retries exactly-once.
 //
 // The caller's Request is never modified: ids assigned for one execution
 // live on an internal copy, so a Request value can be rebuilt or reused
@@ -362,11 +378,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 	cp := *caller
 	req := &cp
+	if req.ID == 0 {
+		req.ID = c.nextID()
+	}
 	switch req.Op {
 	case ReqPut, ReqDelete, ReqCAS:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
 		c.tracer.Addf(req.ID, "submitted op=%d key=%q", req.Op, req.Key)
 		resp, err := c.doShard(ctx, c.shardFor(req.Key), req)
 		if err != nil {
@@ -379,9 +395,6 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		if len(req.Keys) == 0 {
 			return nil, fmt.Errorf("kv: get of zero keys")
 		}
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
 		// Invite lease serving: a bound client knows whether its store
 		// grants leases; a Dial'd client cannot know, and the flag is free
 		// when the server holds none. Not combined with stale reads — the
@@ -390,19 +403,11 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 			req.Flags |= flagLeaseRead
 		}
 		c.tracer.Addf(req.ID, "submitted op=get keys=%d", len(req.Keys))
-		for {
-			resp, err := c.doGet(ctx, req)
-			if !errors.Is(err, errMoved) {
-				if err == nil {
-					c.tracer.Add(req.ID, "replied")
-				}
-				return resp, err
-			}
-			c.tracer.Add(req.ID, "moved, retrying")
-			if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-				return nil, err
-			}
+		resp, err := retryMoved(ctx, func() (*Response, error) { return c.doGet(ctx, req) })
+		if err == nil {
+			c.tracer.Add(req.ID, "replied")
 		}
+		return resp, err
 	case ReqBatchPut:
 		if len(req.Pairs) == 0 {
 			return &Response{OK: true}, nil
@@ -413,33 +418,16 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 				req.IDs[i] = c.nextID()
 			}
 		}
-		for {
-			resp, err := c.doBatchPut(ctx, req)
-			if !errors.Is(err, errMoved) {
-				return resp, err
-			}
-			if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-				return nil, err
-			}
-		}
+		return retryMoved(ctx, func() (*Response, error) { return c.doBatchPut(ctx, req) })
 	case ReqTxn:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
 		if r, _ := c.routingRing(); r == nil {
 			// Ring-less client: the entry node's coordinator runs the 2PC.
 			return c.remoteCall(ctx, -1, req)
 		}
 		return c.txnExecute(ctx, req)
 	case ReqTxnPrepare:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
-		return c.doTxnPrepare(ctx, req)
+		return retryMoved(ctx, func() (*Response, error) { return c.doTxnPrepare(ctx, req) })
 	case ReqTxnResolve:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
 		// Routed by the representative key; a Moved answer retries in place
 		// (doShard), chasing the portion across the epoch flip.
 		return c.doShard(ctx, c.shardFor(req.Key), req)
@@ -458,93 +446,29 @@ func (c *Client) shardFor(key string) int {
 	return r.shard(key)
 }
 
-// doGet executes a sequenced read, splitting multi-shard key sets under the
-// current routing table. errMoved bubbles up when the table changed under a
-// sub-read; the caller re-splits and retries.
+// doGet executes a read under the current routing table. Keys on one shard
+// take that shard's read path (lease, bounded-stale or sequenced marker).
+// Keys spanning shards run as a read-only transaction: every key locked at
+// once and its value captured under the locks. Nothing orders two shard
+// groups against each other, so separate per-shard reads could observe a
+// cross-shard write half-applied. errMoved bubbles up from the single-shard
+// path; the caller retries under the refreshed table.
 func (c *Client) doGet(ctx context.Context, req *Request) (*Response, error) {
-	r, rt := c.routingRing()
+	r, _ := c.routingRing()
 	if r == nil {
 		return c.doShard(ctx, -1, req)
 	}
-	req.Epoch = rt.Epoch
-	byShard := make(map[int][]int) // shard -> indices into req.Keys
-	for i, k := range req.Keys {
-		s := r.shard(k)
-		byShard[s] = append(byShard[s], i)
+	if parts := splitByShard(r, req); len(parts) == 1 {
+		return c.doShard(ctx, parts[0].shard, req)
 	}
-	if len(byShard) == 1 {
-		for s := range byShard {
-			return c.doShard(ctx, s, req)
-		}
+	txn, err := c.txnExecute(ctx, &Request{Op: ReqTxn, ID: req.ID, Keys: req.Keys})
+	if err != nil {
+		return nil, err
 	}
-	out := &Response{OK: true, Values: make([][]byte, len(req.Keys)), Found: make([]bool, len(req.Keys))}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-		paths []byte
-	)
-	for s, idx := range byShard {
-		s, idx := s, idx
-		keys := make([]string, len(idx))
-		for j, i := range idx {
-			keys[j] = req.Keys[i]
-		}
-		// Sub-reads take fresh ids: reads are idempotent, and a node
-		// re-splitting a forwarded multi-shard read must be free to do
-		// the same. Flags and the staleness bound travel with each part.
-		sub := &Request{Op: ReqGet, Flags: req.Flags, ID: c.nextID(), Budget: req.Budget,
-			Epoch: rt.Epoch, MaxStale: req.MaxStale, Keys: keys}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.doShard(ctx, s, sub)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				// A real error beats errMoved: the retry loop only helps
-				// the moved case, and must not mask a persistent failure.
-				if first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved) {
-					first = err
-				}
-				return
-			}
-			for j, i := range idx {
-				out.Values[i] = resp.Values[j]
-				out.Found[i] = resp.Found[j]
-			}
-			paths = append(paths, resp.ReadPath)
-			if resp.StaleFor > out.StaleFor {
-				out.StaleFor = resp.StaleFor
-			}
-		}()
+	if len(txn.Values) != len(req.Keys) || len(txn.Found) != len(req.Keys) {
+		return nil, fmt.Errorf("kv: read-only transaction answered %d of %d requested keys", len(txn.Values), len(req.Keys))
 	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	out.ReadPath = mergeReadPaths(paths)
-	return out, nil
-}
-
-// mergeReadPaths folds per-shard read paths into one report: any stale part
-// makes the whole answer stale; all-lease stays lease; anything mixed with a
-// sequenced part reports sequenced (the strongest contract all parts met is
-// still linearizable either way).
-func mergeReadPaths(paths []byte) byte {
-	if len(paths) == 0 {
-		return ReadSequenced
-	}
-	merged := paths[0]
-	for _, p := range paths[1:] {
-		switch {
-		case p == ReadStale || merged == ReadStale:
-			return ReadStale
-		case p != merged:
-			merged = ReadSequenced
-		}
-	}
-	return merged
+	return &Response{OK: true, Values: txn.Values, Found: txn.Found}, nil
 }
 
 // doBatchPut executes a bulk write, splitting multi-shard pair sets. Per-pair
@@ -553,51 +477,120 @@ func mergeReadPaths(paths []byte) byte {
 // and a re-split after an epoch flip re-executes only the pairs the first
 // pass could not place.
 func (c *Client) doBatchPut(ctx context.Context, req *Request) (*Response, error) {
-	r, rt := c.routingRing()
+	r, _ := c.routingRing()
 	if r == nil {
 		return c.doShard(ctx, -1, req)
 	}
-	req.Epoch = rt.Epoch
-	byShard := make(map[int][]int)
-	for i, p := range req.Pairs {
-		s := r.shard(p.Key)
-		byShard[s] = append(byShard[s], i)
-	}
-	if len(byShard) == 1 {
-		for s := range byShard {
-			return c.doShard(ctx, s, req)
-		}
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for s, idx := range byShard {
-		s, idx := s, idx
-		sub := &Request{Op: ReqBatchPut, Budget: req.Budget, Epoch: rt.Epoch,
-			Pairs: make([]Pair, len(idx)), IDs: make([]uint64, len(idx))}
-		for j, i := range idx {
-			sub.Pairs[j] = req.Pairs[i]
-			sub.IDs[j] = req.IDs[i]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.doShard(ctx, s, sub); err != nil {
-				mu.Lock()
-				if first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved) {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
+	parts := splitByShard(r, req)
+	err := fanOut(len(parts), func(i int) error {
+		_, err := c.doShard(ctx, parts[i].shard, parts[i].req)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Response{OK: true}, nil
+}
+
+// shardPart is one shard's portion of a request split by splitByShard.
+type shardPart struct {
+	shard int
+	req   *Request
+}
+
+// eachKey calls fn with every element key of req in request order: its
+// Keys, then the keys of its Pairs, Writes and Conds.
+func eachKey(req *Request, fn func(key string)) {
+	for _, k := range req.Keys {
+		fn(k)
+	}
+	for _, p := range req.Pairs {
+		fn(p.Key)
+	}
+	for _, w := range req.Writes {
+		fn(w.Key)
+	}
+	for _, cc := range req.Conds {
+		fn(cc.Key)
+	}
+}
+
+// splitByShard assigns every element of req — each key, pair (with its id),
+// write and cond — to the shard owning it under r, keeping request order
+// within each part. Parts are listed in order of their first element, and
+// each carries req's header (op, flags, budget, epoch, staleness bound, txn
+// identity) as a fresh request: ID cleared, since two parts must not share
+// one command id (Do assigns each its own), and no forwarded mark. A request
+// that lands on one shard is its own only part, and a request with no
+// elements routes by its Key.
+func splitByShard(r *ring, req *Request) []shardPart {
+	first, spans := -1, false
+	eachKey(req, func(k string) {
+		if s := r.shard(k); first < 0 {
+			first = s
+		} else if s != first {
+			spans = true
+		}
+	})
+	if first < 0 {
+		first = r.shard(req.Key)
+	}
+	if !spans {
+		return []shardPart{{first, req}}
+	}
+	var parts []shardPart
+	part := func(key string) *Request {
+		s := r.shard(key)
+		for _, p := range parts {
+			if p.shard == s {
+				return p.req
+			}
+		}
+		p := *req
+		p.ID, p.Keys, p.Pairs, p.IDs, p.Writes, p.Conds = 0, nil, nil, nil, nil, nil
+		p.Flags &^= flagForwarded
+		parts = append(parts, shardPart{s, &p})
+		return &p
+	}
+	for _, k := range req.Keys {
+		p := part(k)
+		p.Keys = append(p.Keys, k)
+	}
+	for i, pr := range req.Pairs {
+		p := part(pr.Key)
+		p.Pairs = append(p.Pairs, pr)
+		p.IDs = append(p.IDs, req.IDs[i])
+	}
+	for _, w := range req.Writes {
+		p := part(w.Key)
+		p.Writes = append(p.Writes, w)
+	}
+	for _, cc := range req.Conds {
+		p := part(cc.Key)
+		p.Conds = append(p.Conds, cc)
+	}
+	return parts
+}
+
+// fanOut runs run(0..n-1) in parallel (a single part runs inline) and waits
+// for all of them. The first error to arrive wins, except that a real error
+// beats errMoved: the callers' retry loops only help the moved case and must
+// not mask a persistent failure.
+func fanOut(n int, run func(i int) error) error {
+	if n == 1 {
+		return run(0)
+	}
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) { errs <- run(i) }(i)
+	}
+	var first error
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil && (first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved)) {
+			first = err
+		}
+	}
+	return first
 }
 
 // doShard executes a single-shard request (shard -1: unknown, entry decides)
@@ -963,48 +956,22 @@ func (c *Client) LocalGet(key string) ([]byte, bool) {
 // MGet performs a consistent multi-key read: the result maps each found key
 // to its value (absent keys omitted), and the combined view is an atomic
 // snapshot — no concurrent transaction or batch is ever observed
-// half-applied. Keys on one shard are served by a single sequenced read
-// marker; keys spanning shards run as a read-only transaction on the
-// prepare machinery (every key briefly locked, values captured while all
-// locks are held — see txn.go), which is what makes the cross-shard
-// snapshot atomic.
+// half-applied. Keys on one shard are served by a single read at one point
+// in that shard's order; keys spanning shards run as a read-only
+// transaction (every key briefly locked, values captured while all locks
+// are held — see Do and txn.go).
 func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, error) {
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
-	if r, _ := c.routingRing(); r != nil {
-		single := true
-		s0 := r.shard(keys[0])
-		for _, k := range keys[1:] {
-			if r.shard(k) != s0 {
-				single = false
-				break
-			}
-		}
-		if single {
-			resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: keys})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string][]byte, len(keys))
-			for i, k := range keys {
-				if resp.Found[i] {
-					out[k] = resp.Values[i]
-				}
-			}
-			return out, nil
-		}
-	}
-	// Multi-shard (or ring-less, where the serving node decides): a
-	// read-only transaction captures all keys under one set of locks.
-	res, err := c.Txn(ctx, TxnOp{Reads: keys})
+	resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(keys))
 	for i, k := range keys {
-		if i < len(res.Found) && res.Found[i] {
-			out[k] = res.Values[i]
+		if resp.Found[i] {
+			out[k] = resp.Values[i]
 		}
 	}
 	return out, nil
@@ -1021,26 +988,26 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Response, error) {
 	switch req.Op {
 	case ReqPut:
-		_, err := s.do(ctx, shard, req.ID, encodePut(req.ID, req.Key, req.Val))
+		_, err := s.do(ctx, shard, []uint64{req.ID}, encodePut(req.ID, req.Key, req.Val))
 		if err != nil {
 			return nil, err
 		}
 		return &Response{OK: true}, nil
 	case ReqDelete:
-		res, err := s.do(ctx, shard, req.ID, encodeDelete(req.ID, req.Key))
+		res, err := s.do(ctx, shard, []uint64{req.ID}, encodeDelete(req.ID, req.Key))
 		if err != nil {
 			return nil, err
 		}
 		return &Response{OK: res.OK}, nil
 	case ReqCAS:
 		cmd := encodeCAS(req.ID, req.Key, req.ExpectPresent, req.Expect, req.Val)
-		res, err := s.do(ctx, shard, req.ID, cmd)
+		res, err := s.do(ctx, shard, []uint64{req.ID}, cmd)
 		if err != nil {
 			return nil, err
 		}
 		return &Response{OK: res.OK}, nil
 	case ReqGet:
-		res, err := s.do(ctx, shard, req.ID, encodeGet(req.ID, req.Keys))
+		res, err := s.do(ctx, shard, []uint64{req.ID}, encodeGet(req.ID, req.Keys))
 		if err != nil {
 			return nil, err
 		}
@@ -1055,13 +1022,13 @@ func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Respon
 		for i, p := range req.Pairs {
 			cmds[i] = encodePut(req.IDs[i], p.Key, p.Val)
 		}
-		if err := s.doBatch(ctx, shard, req.IDs, cmds); err != nil {
+		if _, err := s.do(ctx, shard, req.IDs, cmds...); err != nil {
 			return nil, err
 		}
 		return &Response{OK: true}, nil
 	case ReqTxnPrepare:
 		cmd := encodeTxnPrepare(req.ID, req.TxnID, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
-		res, err := s.do(ctx, shard, req.ID, cmd)
+		res, err := s.do(ctx, shard, []uint64{req.ID}, cmd)
 		if err != nil {
 			return nil, err
 		}
@@ -1072,7 +1039,7 @@ func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Respon
 		}
 		return out, nil
 	case ReqTxnResolve:
-		res, err := s.do(ctx, shard, req.ID, encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys))
+		res, err := s.do(ctx, shard, []uint64{req.ID}, encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys))
 		if err != nil {
 			return nil, err
 		}
@@ -1082,37 +1049,54 @@ func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Respon
 	}
 }
 
-// do submits cmd to shard and waits until its result lands in the local
-// replica's result window — i.e. until the command has been totally ordered
-// AND applied locally, which gives read-your-writes even for LocalGet. A
-// Moved result surfaces as errMoved for the caller to re-route.
+// do submits cmds, one per id, to shard as one burst and waits until every
+// result lands in the local replica's result window — i.e. until the
+// commands have been totally ordered AND applied locally, which gives
+// read-your-writes even for LocalGet. It returns the first command's result.
+// If any command answered Moved (its range is frozen mid-handoff, or a batch
+// straddled an epoch flip), do returns errMoved for the caller to re-route;
+// ids deduplicate, so only the moved commands re-execute.
 //
 // If the local replica stops mid-operation (expelled by a recovery this node
 // missed), do retries against the replacement the store's self-heal swaps
 // in. Retrying is safe: commands are deduplicated by id in the replicated
 // state machine, and if the first attempt did commit, the rejoined replica's
 // transferred state already holds its result.
-func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (result, error) {
+func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds ...[]byte) (result, error) {
 	for {
 		r := s.Replica(shard)
 		if r == nil {
 			return result{}, fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", shard, s.opts.Replication)
 		}
-		err := r.Submit(ctx, cmd)
+		var err error
+		if len(cmds) == 1 {
+			err = r.Submit(ctx, cmds[0])
+		} else {
+			err = r.SubmitBatch(ctx, cmds)
+		}
 		if err == nil {
-			var res result
+			var first result
+			moved := false
 			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				v, ok := sm.(*mapSM).results[id]
-				if ok {
-					res = v
+				m := sm.(*mapSM)
+				moved = false
+				for i, id := range ids {
+					res, ok := m.resultOf(id)
+					if !ok {
+						return false
+					}
+					if i == 0 {
+						first = res
+					}
+					moved = moved || res.Moved
 				}
-				return ok
+				return true
 			})
 			if err == nil {
-				if res.Moved {
-					return res, errMoved
+				if moved {
+					return first, errMoved
 				}
-				return res, nil
+				return first, nil
 			}
 		}
 		// ErrStopped: the replica stopped under us. ErrNotMember: an
@@ -1128,56 +1112,6 @@ func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (resul
 		select {
 		case <-ctx.Done():
 			return result{}, fmt.Errorf("kv: shard %d: %w", shard, err)
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-}
-
-// doBatch submits one shard's command burst and waits until every result
-// lands in the local replica's result window, with the same
-// replica-swap-and-retry semantics as do (commands are deduplicated by id,
-// so retrying a partially committed batch is safe and exactly-once). If any
-// command answered Moved — the batch straddled an epoch flip — errMoved is
-// returned and the caller re-splits; only the moved pairs re-execute.
-func (s *Store) doBatch(ctx context.Context, shard int, ids []uint64, cmds [][]byte) error {
-	for {
-		r := s.Replica(shard)
-		if r == nil {
-			return fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", shard, s.opts.Replication)
-		}
-		err := r.SubmitBatch(ctx, cmds)
-		if err == nil {
-			moved := false
-			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				results := sm.(*mapSM).results
-				moved = false
-				for _, id := range ids {
-					res, ok := results[id]
-					if !ok {
-						return false
-					}
-					if res.Moved {
-						moved = true
-					}
-				}
-				return true
-			})
-			if err == nil {
-				if moved {
-					return errMoved
-				}
-				return nil
-			}
-		}
-		if !errors.Is(err, shared.ErrStopped) && !errors.Is(err, amoeba.ErrNotMember) {
-			return fmt.Errorf("kv: shard %d: %w", shard, err)
-		}
-		if s.isClosed() {
-			return fmt.Errorf("kv: shard %d: %w", shard, shared.ErrStopped)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("kv: shard %d: %w", shard, err)
 		case <-time.After(50 * time.Millisecond):
 		}
 	}

@@ -351,7 +351,8 @@ const ProtoVersion = 4
 // Request ops.
 const (
 	// ReqGet is a sequenced (linearizable) read of Keys. Multi-key
-	// requests may span shards; the serving node scatter-gathers.
+	// requests may span shards; the serving node then runs them as a
+	// read-only transaction, so the values form one atomic snapshot.
 	ReqGet byte = iota + 1
 	// ReqPut stores Key = Val.
 	ReqPut

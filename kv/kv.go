@@ -600,6 +600,10 @@ func (s *Store) retireShard(i int, r *shared.Replica, epoch uint64) {
 		cancel()
 	}
 	r.Close()
+	// Drop the shard's audit scope, or its replicas would go stale in the
+	// auditor and read the store degraded for good. The prefix match is
+	// safe: a retired shard's number never prefixes a surviving one's.
+	s.opts.Group.Obs.Health().Forget(auditScope(s.name, i))
 	if s.opts.DataDir != "" {
 		// The shard's history now lives (merged) in the surviving shards'
 		// logs; a leftover directory would only resurrect a zombie group
@@ -1007,41 +1011,12 @@ func (s *Store) LeaseStats() (leased, leaseFallback, stale, staleFallback uint64
 }
 
 // leaseGet answers a single-shard multi-key read from shard's local replica
-// under its read lease — linearizable with no group send. It fails (false)
-// when the replica is absent or holds no valid lease, or when any requested
-// key is frozen by a live handoff or locked by a prepared transaction; the
-// caller then falls back to the sequenced read marker, whose Moved/locked
-// handling is the one retry loop. Safe across a live reshard: the lease
-// watermark covers every completed write, and a completed migrate-begin is
-// itself lease-gated, so any key moving away is already frozen (serves()
-// false) in the state a valid lease exposes.
+// under its read lease — linearizable with no group send. Safe across a live
+// reshard: the lease watermark covers every completed write, and a completed
+// migrate-begin is itself lease-gated, so any key moving away is already
+// frozen (serves() false) in the state a valid lease exposes.
 func (s *Store) leaseGet(shard int, keys []string) (*Response, bool) {
-	r := s.Replica(shard)
-	if r == nil {
-		return nil, false
-	}
-	resp := &Response{OK: true, ReadPath: ReadLease,
-		Values: make([][]byte, len(keys)), Found: make([]bool, len(keys))}
-	served := true
-	ok := r.LeaseRead(func(sm shared.StateMachine) {
-		m := sm.(*mapSM)
-		for i, k := range keys {
-			if !m.serves(k) || m.locked(k) {
-				served = false
-				return
-			}
-			if v, found := m.items[k]; found {
-				resp.Values[i] = append([]byte(nil), v...)
-				resp.Found[i] = true
-			}
-		}
-	})
-	if !ok || !served {
-		s.leaseFallback.Add(1)
-		return nil, false
-	}
-	s.leaseServed.Add(1)
-	return resp, true
+	return s.localRead(shard, keys, ReadLease, &s.leaseServed, &s.leaseFallback, (*shared.Replica).LeaseRead)
 }
 
 // staleGet answers a single-shard multi-key read from shard's local replica
@@ -1049,18 +1024,42 @@ func (s *Store) leaseGet(shard int, keys []string) (*Response, bool) {
 // bound covers the total order, not the handoff freeze, so frozen or locked
 // keys fall back like leaseGet's.
 func (s *Store) staleGet(shard int, keys []string, maxStale time.Duration) (*Response, bool) {
-	r := s.Replica(shard)
-	if r == nil || maxStale <= 0 {
+	if maxStale <= 0 {
 		return nil, false
 	}
-	resp := &Response{OK: true, ReadPath: ReadStale,
+	var bound time.Duration
+	resp, ok := s.localRead(shard, keys, ReadStale, &s.staleServed, &s.staleFallback,
+		func(r *shared.Replica, read func(shared.StateMachine)) (ok bool) {
+			bound, ok = r.StaleRead(maxStale, read)
+			return ok
+		})
+	if ok {
+		resp.StaleFor = bound
+	}
+	return resp, ok
+}
+
+// localRead copies keys' values out of shard's local replica through gate
+// (Replica.LeaseRead or Replica.StaleRead), stamping path on the answer and
+// counting the outcome in served or fallback. It fails (false) when the
+// replica is absent, the gate refuses, or any key is frozen by a live
+// handoff or locked by a prepared transaction; the caller then falls back
+// to the sequenced read marker, whose Moved/locked handling is the one
+// retry loop.
+func (s *Store) localRead(shard int, keys []string, path byte, served, fallback *atomic.Uint64,
+	gate func(*shared.Replica, func(shared.StateMachine)) bool) (*Response, bool) {
+	r := s.Replica(shard)
+	if r == nil {
+		return nil, false
+	}
+	resp := &Response{OK: true, ReadPath: path,
 		Values: make([][]byte, len(keys)), Found: make([]bool, len(keys))}
-	served := true
-	bound, ok := r.StaleRead(maxStale, func(sm shared.StateMachine) {
+	all := true
+	ok := gate(r, func(sm shared.StateMachine) {
 		m := sm.(*mapSM)
 		for i, k := range keys {
 			if !m.serves(k) || m.locked(k) {
-				served = false
+				all = false
 				return
 			}
 			if v, found := m.items[k]; found {
@@ -1069,12 +1068,11 @@ func (s *Store) staleGet(shard int, keys []string, maxStale time.Duration) (*Res
 			}
 		}
 	})
-	if !ok || !served {
-		s.staleFallback.Add(1)
+	if !ok || !all {
+		fallback.Add(1)
 		return nil, false
 	}
-	resp.StaleFor = bound
-	s.staleServed.Add(1)
+	served.Add(1)
 	return resp, true
 }
 

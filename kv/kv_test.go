@@ -166,16 +166,16 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	cl := stores[0].NewClient()
 	ids := []uint64{cl.nextID(), cl.nextID()}
 	cmds := [][]byte{encodePut(ids[0], "k", []byte("first")), encodePut(ids[1], "k", []byte("second"))}
-	if err := stores[0].doBatch(ctx, 0, ids, cmds); err != nil {
-		t.Fatalf("doBatch: %v", err)
+	if _, err := stores[0].do(ctx, 0, ids, cmds...); err != nil {
+		t.Fatalf("do: %v", err)
 	}
 	if err := cl.Put(ctx, "k", []byte("third")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	// Replaying the original batch (a retry after a presumed-lost reply)
 	// must be a no-op: the commands' ids already have results.
-	if err := stores[0].doBatch(ctx, 0, ids, cmds); err != nil {
-		t.Fatalf("doBatch replay: %v", err)
+	if _, err := stores[0].do(ctx, 0, ids, cmds...); err != nil {
+		t.Fatalf("do replay: %v", err)
 	}
 	if v, ok := cl.LocalGet("k"); !ok || string(v) != "third" {
 		t.Fatalf("k = %q %v: replayed batch re-executed", v, ok)

@@ -243,7 +243,7 @@ func (s *Store) migrate(ctx context.Context, shard int, cmd []byte) error {
 	if err != nil {
 		return err
 	}
-	res, err := s.do(ctx, shard, c.id, cmd)
+	res, err := s.do(ctx, shard, []uint64{c.id}, cmd)
 	if err != nil {
 		if errors.Is(err, errMoved) {
 			return nil

@@ -183,7 +183,8 @@ func TestReshardingMergeRetiresShards(t *testing.T) {
 	ctx := ctxT(t, 120*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "merge", 3, Options{Shards: 6})
+	hub := obs.NewHub(obs.Options{Node: "merge-test"})
+	stores := newCluster(t, ctx, net, "merge", 3, Options{Shards: 6, Group: amoeba.GroupOptions{Obs: hub}})
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -202,6 +203,10 @@ func TestReshardingMergeRetiresShards(t *testing.T) {
 		t.Fatalf("seeding: %v", err)
 	}
 	cl.Close()
+	// Give every shard an audit scope, as a periodic driver would.
+	if err := stores[0].AuditNow(ctx); err != nil {
+		t.Fatalf("AuditNow: %v", err)
+	}
 
 	if err := stores[0].Resharding(ctx, 3); err != nil {
 		t.Fatalf("Resharding(3): %v", err)
@@ -223,6 +228,24 @@ func TestReshardingMergeRetiresShards(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 			}
 		}
+	}
+	// A retired shard's audit scope goes with its replicas; left behind it
+	// would go stale and read the store degraded for good. The scope is
+	// dropped after the replica leaves its group, so poll.
+	retired := func() []string {
+		var out []string
+		for _, sh := range hub.Health().Snapshot("kv/merge/") {
+			if sh.Scope != auditScope("merge", 0) && sh.Scope != auditScope("merge", 1) && sh.Scope != auditScope("merge", 2) {
+				out = append(out, sh.Scope)
+			}
+		}
+		return out
+	}
+	for left := retired(); len(left) > 0; left = retired() {
+		if time.Now().After(deadline) {
+			t.Fatalf("audit scopes of retired shards still present: %v", left)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -50,8 +50,9 @@ type ServiceStats struct {
 	// ForwardRequest to an owning node instead of an error — the client
 	// sees only the reply, from wherever the request landed.
 	Forwarded uint64
-	// Scattered counts multi-shard requests (a client with no or stale
-	// ring knowledge) this node split and scatter-gathered itself.
+	// Scattered counts multi-shard requests (from a client with no or
+	// stale ring knowledge) this node ran itself: a Get or Txn as a
+	// transaction it coordinated, a batch as per-shard parts.
 	Scattered uint64
 	// StaleEpochs counts requests whose routing epoch differed from this
 	// node's; each was served under the node's table and answered with
@@ -270,27 +271,29 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 		resp.Replication = svc.store.opts.Replication
 		return EncodeResponse(resp)
 	}
-	shards := svc.shardsOf(req)
-	if len(shards) == 1 && svc.store.Replica(shards[0]) == nil {
+	ring, _ := svc.store.routingRing()
+	parts := splitByShard(ring, req)
+	if len(parts) == 1 && svc.store.Replica(parts[0].shard) == nil {
 		// Misroute: the one shard this request needs lives elsewhere.
 		if req.Flags&flagForwarded != 0 {
 			// Already forwarded once; routing tables disagree. Answer
 			// rather than bounce the request around.
 			svc.errors.Add(1)
 			return attach(&Response{Err: fmt.Sprintf(
-				"shard %d not hosted at forward target (routing mismatch?)", shards[0])}), 0
+				"shard %d not hosted at forward target (routing mismatch?)", parts[0].shard)}), 0
 		}
 		svc.forwarded.Add(1)
-		svc.client.tracer.Addf(req.ID, "forwarded to shard %d", shards[0])
+		svc.client.tracer.Addf(req.ID, "forwarded to shard %d", parts[0].shard)
 		fwd := *req
 		fwd.Flags |= flagForwarded
 		fwd.Epoch = rt.Epoch // forward under this node's (newer) table
-		return EncodeRequest(&fwd), ShardAddr(svc.store.name, shards[0])
+		return EncodeRequest(&fwd), ShardAddr(svc.store.name, parts[0].shard)
 	}
-	if len(shards) > 1 {
+	if len(parts) > 1 {
 		// A client with no (or stale) routing knowledge packed several
-		// shards' keys into one request: this node re-scatters it, local
-		// parts in process and remote parts over RPC — the full proxy.
+		// shards' keys into one request: this node runs it — a Get or Txn
+		// as a transaction it coordinates, a batch split into per-shard
+		// parts, local ones in process and remote ones over RPC.
 		svc.scattered.Add(1)
 	}
 	svc.served.Add(1)
@@ -303,54 +306,12 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	// Sub-requests the client issues for re-scattered parts are fresh
-	// requests (no forwarded flag), targeted by this node's routing.
+	// Sub-requests the client issues for the parts are fresh requests (no
+	// forwarded flag), targeted by this node's routing.
 	resp, err := svc.client.Do(ctx, req)
 	if err != nil {
 		svc.errors.Add(1)
 		return attach(&Response{Err: err.Error()}), 0
 	}
 	return attach(resp), 0
-}
-
-// shardsOf lists the distinct shards a request touches, under this node's
-// current routing table.
-func (svc *Service) shardsOf(req *Request) []int {
-	ring, _ := svc.store.routingRing()
-	seen := make(map[int]bool)
-	var out []int
-	add := func(key string) {
-		s := ring.shard(key)
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	switch req.Op {
-	case ReqGet:
-		for _, k := range req.Keys {
-			add(k)
-		}
-	case ReqBatchPut:
-		for _, p := range req.Pairs {
-			add(p.Key)
-		}
-	case ReqTxn, ReqTxnPrepare:
-		// Every key the transaction touches: a multi-shard transaction is
-		// re-scattered here (this node coordinates it in process), a
-		// single-shard one can be forwarded to its owner like any write.
-		// ReqTxnResolve routes by its representative Key (default case).
-		for _, k := range req.Keys {
-			add(k)
-		}
-		for _, w := range req.Writes {
-			add(w.Key)
-		}
-		for _, cc := range req.Conds {
-			add(cc.Key)
-		}
-	default:
-		add(req.Key)
-	}
-	return out
 }

@@ -168,8 +168,8 @@ func TestProxyThroughSingleNodeAddress(t *testing.T) {
 	if _, ok, err := cl.Get(ctx, keys[0]); err != nil || ok {
 		t.Fatalf("Get after delete: found=%v err=%v", ok, err)
 	}
-	// BatchPut spanning every shard in one request: the entry node
-	// re-scatters it.
+	// BatchPut spanning every shard in one request: the entry node splits
+	// it by shard.
 	var pairs []Pair
 	for i := 0; i < shards; i++ {
 		pairs = append(pairs, Pair{Key: keyOnShard(stores[0], i, fmt.Sprintf("bulk-s%d", i)), Val: []byte{byte(i)}})
@@ -209,13 +209,13 @@ func TestProxyThroughSingleNodeAddress(t *testing.T) {
 	}
 
 	// The entry node must have forwarded misroutes (single-shard requests
-	// for shards it does not host) and re-scattered the multi-shard ones.
+	// for shards it does not host) and run the multi-shard ones itself.
 	st := svcs[0].Stats()
 	if st.Forwarded == 0 {
 		t.Fatalf("entry node forwarded nothing: %+v", st)
 	}
 	if st.Scattered == 0 {
-		t.Fatalf("entry node re-scattered nothing: %+v", st)
+		t.Fatalf("entry node ran no multi-shard request: %+v", st)
 	}
 	// Forward targets actually served (no silent fallbacks to errors).
 	var served uint64

@@ -319,6 +319,13 @@ func (s *mapSM) setResult(id uint64, r result) {
 	}
 }
 
+// resultOf returns command id's result, if it has applied and is still in
+// the window.
+func (s *mapSM) resultOf(id uint64) (result, bool) {
+	r, ok := s.results[id]
+	return r, ok
+}
+
 // serves reports whether this shard serves key at this point in the total
 // order: the key must be owned under the current table AND not be mid-move
 // under a pending one. A key moving away is frozen from migrate-begin until

@@ -2,11 +2,9 @@ package kv
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"amoeba/shared"
@@ -113,6 +111,11 @@ func txnAttemptID(base uint64, attempt int) uint64 {
 // maxTxnAttempts bounds conflict retries before surfacing an error.
 const maxTxnAttempts = 64
 
+// txnReadWaits bounds how often a read-only prepare retries its conflicting
+// parts, 1 ms apart, while holding the rest (see doTxnPrepare). The bound
+// breaks the deadlock of two reads each holding a key the other wants.
+const txnReadWaits = 8
+
 // txnExecute is the coordinator loop behind ReqTxn: drive attempts until one
 // decides (committed, aborted-by-condition) or the attempt budget runs out.
 func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error) {
@@ -162,21 +165,12 @@ func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error
 func txnKeys(req *Request) []string {
 	seen := make(map[string]bool)
 	keys := make([]string, 0, len(req.Keys)+len(req.Writes)+len(req.Conds))
-	add := func(k string) {
+	eachKey(req, func(k string) {
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
-	}
-	for _, k := range req.Keys {
-		add(k)
-	}
-	for _, w := range req.Writes {
-		add(w.Key)
-	}
-	for _, cc := range req.Conds {
-		add(cc.Key)
-	}
+	})
 	sort.Strings(keys)
 	return keys
 }
@@ -290,15 +284,19 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 		if r == nil {
 			return fmt.Errorf("kv: txn %016x: resolve echo needs ring knowledge", txnID)
 		}
-		groups := make(map[int][]string)
-		for _, k := range allKeys {
-			s := r.shard(k)
-			groups[s] = append(groups[s], k)
-		}
+		parts := splitByShard(r, &Request{Op: ReqTxnResolve, TxnID: txnID, Commit: commit,
+			HomeKey: homeKey, AllKeys: allKeys, Keys: allKeys})
 		if homeDone {
 			homeDone = false
-			delete(groups, r.shard(homeKey))
-			if len(groups) == 0 {
+			home := r.shard(homeKey)
+			rest := parts[:0]
+			for _, p := range parts {
+				if p.shard != home {
+					rest = append(rest, p)
+				}
+			}
+			parts = rest
+			if len(parts) == 0 {
 				// Single-shard transaction: phase 2 resolved everything.
 				if _, rt2 := c.routingRing(); rt2.Epoch == rt.Epoch {
 					return nil
@@ -307,32 +305,16 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 			}
 			c.tracer.Addf(txnID, "txn echo: home shard skipped (already resolved)")
 		}
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			first error
-		)
-		for _, keys := range groups {
-			keys := keys
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, err := c.Do(ctx, &Request{
-					Op: ReqTxnResolve, TxnID: txnID, Commit: commit,
-					Key: keys[0], HomeKey: homeKey, AllKeys: allKeys,
-				})
-				if err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		if first != nil {
-			return fmt.Errorf("kv: txn %016x resolve echo: %w", txnID, first)
+		// Each resolve routes by its group's first key; the key list itself
+		// stays home.
+		err := fanOut(len(parts), func(i int) error {
+			p := parts[i].req
+			p.Key, p.Keys = p.Keys[0], nil
+			_, err := c.Do(ctx, p)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("kv: txn %016x resolve echo: %w", txnID, err)
 		}
 		if _, rt2 := c.routingRing(); rt2.Epoch == rt.Epoch {
 			return nil
@@ -340,103 +322,55 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 	}
 }
 
-// doTxnPrepare executes one prepare request, splitting it per shard under
-// the live routing table. Moved answers (a frozen or flipped range) re-split
-// under the refreshed table — a single attempt's content may end up
-// partitioned differently across re-drives, which the state machine's
-// accretive prepare merge absorbs.
+// doTxnPrepare executes one prepare request under the live routing table
+// (Do retries it after a Moved answer, re-split under the refreshed table —
+// a single attempt's content may end up partitioned differently across
+// re-drives, which the state machine's accretive prepare merge absorbs). A
+// multi-shard prepare fans out as per-shard sub-prepares of the same
+// transaction (fresh command ids, same txn id), each a Do of its own, and
+// merges the answers back into one response aligned with the request's
+// read set.
+//
+// A read-only prepare keeps the parts it locked and retries the ones that
+// met another transaction's lock. A writer that runs into the held locks
+// aborts and frees the rest, so the read completes; releasing everything at
+// the first conflict would let a writer looping on the same keys win every
+// round.
 func (c *Client) doTxnPrepare(ctx context.Context, req *Request) (*Response, error) {
-	for {
-		r, rt := c.routingRing()
-		if r == nil {
-			return c.remoteCall(ctx, -1, req)
-		}
-		req.Epoch = rt.Epoch
-		shards := make(map[int]bool)
-		for _, k := range req.Keys {
-			shards[r.shard(k)] = true
-		}
-		for _, w := range req.Writes {
-			shards[r.shard(w.Key)] = true
-		}
-		for _, cc := range req.Conds {
-			shards[r.shard(cc.Key)] = true
-		}
-		var resp *Response
-		var err error
-		if len(shards) <= 1 {
-			shard := -1
-			for s := range shards {
-				shard = s
+	r, _ := c.routingRing()
+	if r == nil {
+		return c.remoteCall(ctx, -1, req)
+	}
+	parts := splitByShard(r, req)
+	if len(parts) == 1 {
+		return c.doShard(ctx, parts[0].shard, req)
+	}
+	answers := make([]*Response, len(parts))
+	for wait := 0; ; wait++ {
+		err := fanOut(len(parts), func(i int) (err error) {
+			if answers[i] == nil || answers[i].Conflict {
+				answers[i], err = c.Do(ctx, parts[i].req)
 			}
-			resp, err = c.doShard(ctx, shard, req)
-		} else {
-			resp, err = c.txnPrepareSplit(ctx, r, rt, req)
-		}
-		if !errors.Is(err, errMoved) {
-			return resp, err
-		}
-		if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// txnPrepareSplit fans a prepare out as per-shard sub-prepares of the same
-// transaction (fresh command ids, same txn id) and merges the answers back
-// into one response aligned with the request's read set.
-func (c *Client) txnPrepareSplit(ctx context.Context, r *ring, rt Routing, req *Request) (*Response, error) {
-	parts := make(map[int]*Request)
-	part := func(s int) *Request {
-		p := parts[s]
-		if p == nil {
-			p = &Request{Op: ReqTxnPrepare, Budget: req.Budget, Epoch: rt.Epoch,
-				TxnID: req.TxnID, HomeKey: req.HomeKey, AllKeys: req.AllKeys}
-			parts[s] = p
-		}
-		return p
-	}
-	for _, k := range req.Keys {
-		p := part(r.shard(k))
-		p.Keys = append(p.Keys, k)
-	}
-	for _, w := range req.Writes {
-		p := part(r.shard(w.Key))
-		p.Writes = append(p.Writes, w)
-	}
-	for _, cc := range req.Conds {
-		p := part(r.shard(cc.Key))
-		p.Conds = append(p.Conds, cc)
-	}
-	list := make([]*Request, 0, len(parts))
-	for _, p := range parts {
-		list = append(list, p)
-	}
-	answers := make([]*Response, len(list))
-	errs := make([]error, len(list))
-	var wg sync.WaitGroup
-	for i := range list {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			answers[i], errs[i] = c.Do(ctx, list[i])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
+		resp := mergePrepareAnswers(req, parts, answers)
+		if !resp.Conflict || len(req.Writes) > 0 || wait == txnReadWaits {
+			return resp, nil
+		}
+		if err := sleepCtx(ctx, time.Millisecond); err != nil {
+			return nil, err
+		}
 	}
-	return mergePrepareAnswers(req, list, answers), nil
 }
 
 // mergePrepareAnswers folds per-shard prepare answers into one response:
 // the most decided state wins (aborted > committed > prepared), conflict and
 // condition failures accumulate, and read values re-align to the request's
 // key order.
-func mergePrepareAnswers(req *Request, parts []*Request, answers []*Response) *Response {
+func mergePrepareAnswers(req *Request, parts []shardPart, answers []*Response) *Response {
 	out := &Response{TxnState: txnStatePrepared}
 	vals := make(map[string][]byte)
 	fnd := make(map[string]bool)
@@ -455,7 +389,7 @@ func mergePrepareAnswers(req *Request, parts []*Request, answers []*Response) *R
 				out.TxnState = txnStateCommitted
 			}
 		}
-		for j, k := range parts[i].Keys {
+		for j, k := range parts[i].req.Keys {
 			if j < len(resp.Values) {
 				vals[k] = resp.Values[j]
 			}

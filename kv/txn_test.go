@@ -294,9 +294,10 @@ func TestTxnBankTransfersConcurrent(t *testing.T) {
 }
 
 // TestMGetSnapshotRegression pins the consistent-MGet bugfix: a writer keeps
-// the invariant a == b via atomic transactions; a scatter-gather MGet could
-// observe a from before a transaction and b from after it. The snapshot MGet
-// must never see the halves disagree.
+// the invariant a == b via atomic transactions; a scatter-gather read could
+// observe a from before a transaction and b from after it. Neither MGet nor
+// a cross-shard Get through Do (what the MGET wire verb sends) may ever see
+// the halves disagree.
 func TestMGetSnapshotRegression(t *testing.T) {
 	ctx := ctxT(t, 120*time.Second)
 	net := amoeba.NewMemoryNetwork()
@@ -338,20 +339,36 @@ func TestMGetSnapshotRegression(t *testing.T) {
 	}()
 	r := stores[1].NewClient()
 	defer r.Close()
-	for i := 0; i < 50; i++ {
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	const reads = 50
+	for i := 0; i < reads; i++ {
 		got, err := r.MGet(ctx, a, b)
 		if err != nil {
 			t.Fatalf("MGet: %v", err)
 		}
 		if string(got[a]) != string(got[b]) {
-			close(stop)
-			wg.Wait()
 			t.Fatalf("MGet observed a half-applied transaction: %s=%q %s=%q",
 				a, got[a], b, got[b])
 		}
+		// The request the MGET wire verb sends: a multi-key Get through Do.
+		resp, err := r.Do(ctx, &Request{Op: ReqGet, Keys: []string{a, b}})
+		if err != nil {
+			t.Fatalf("Do(ReqGet): %v", err)
+		}
+		if string(resp.Values[0]) != string(resp.Values[1]) {
+			t.Fatalf("multi-key Get observed a half-applied transaction: %s=%q %s=%q",
+				a, resp.Values[0], b, resp.Values[1])
+		}
 	}
-	close(stop)
-	wg.Wait()
+	// A torn read needs a commit to land between two per-shard reads, which
+	// a scatter-gather read hits only now and then; that both read forms
+	// took the atomic path is certain every run.
+	if n := r.txnCommitted.Load(); n != 2*reads {
+		t.Fatalf("%d of %d cross-shard reads ran as read-only transactions", n, 2*reads)
+	}
 }
 
 // txnDurableOpts builds the durable-store options shared by the crash tests.
