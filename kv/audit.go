@@ -231,11 +231,11 @@ var _ shared.Digester = (*mapSM)(nil)
 func (s *mapSM) applyAudit(c command) {
 	if s.onAudit != nil {
 		d := s.digestState(c.ranges)
-		d.ID = c.id
+		d.ID = c.ID
 		d.Seq = s.seq
 		s.onAudit(s.shard, d)
 	}
-	s.setResult(c.id, result{OK: true})
+	s.setResult(c.ID, result{OK: true})
 }
 
 // auditScope names one shard's audit stream — the same label the shard's

@@ -17,11 +17,11 @@ func TestDigestDeterministicAcrossSnapshotRestore(t *testing.T) {
 	rt := Routing{Epoch: 0, Shards: 1, VNodes: 8}
 	a := newMapSM("dig", 0, rt, 64, nil)
 	for i := 0; i < 50; i++ {
-		a.Apply(encodePut(uint64(1000+i), fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i))))
+		a.Apply(encodeCommand(&Request{Op: ReqPut, ID: uint64(1000 + i), Key: fmt.Sprintf("key-%d", i), Val: []byte(fmt.Sprintf("val-%d", i))}))
 	}
-	a.Apply(encodeDelete(2000, "key-3"))
-	a.Apply(encodeGet(2001, []string{"key-1", "missing"}))
-	a.Apply(encodeCAS(2002, "key-5", true, []byte("val-5"), []byte("swapped")))
+	a.Apply(encodeCommand(&Request{Op: ReqDelete, ID: 2000, Key: "key-3"}))
+	a.Apply(encodeCommand(&Request{Op: ReqGet, ID: 2001, Keys: []string{"key-1", "missing"}}))
+	a.Apply(encodeCommand(&Request{Op: ReqCAS, ID: 2002, Key: "key-5", ExpectPresent: true, Expect: []byte("val-5"), Val: []byte("swapped")}))
 
 	snap, err := a.Snapshot()
 	if err != nil {

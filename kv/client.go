@@ -986,67 +986,33 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 // command's position in the total order — mid-handoff freeze or a completed
 // flip — and the caller re-resolves and retries.
 func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Response, error) {
-	switch req.Op {
-	case ReqPut:
-		_, err := s.do(ctx, shard, []uint64{req.ID}, encodePut(req.ID, req.Key, req.Val))
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: true}, nil
-	case ReqDelete:
-		res, err := s.do(ctx, shard, []uint64{req.ID}, encodeDelete(req.ID, req.Key))
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: res.OK}, nil
-	case ReqCAS:
-		cmd := encodeCAS(req.ID, req.Key, req.ExpectPresent, req.Expect, req.Val)
-		res, err := s.do(ctx, shard, []uint64{req.ID}, cmd)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: res.OK}, nil
-	case ReqGet:
-		res, err := s.do(ctx, shard, []uint64{req.ID}, encodeGet(req.ID, req.Keys))
-		if err != nil {
-			return nil, err
-		}
-		out := &Response{OK: true, Values: make([][]byte, len(req.Keys)), Found: make([]bool, len(req.Keys))}
-		for i := range req.Keys {
-			out.Values[i] = copyVal(res.Values[i])
-			out.Found[i] = res.Found[i]
-		}
-		return out, nil
-	case ReqBatchPut:
-		cmds := make([][]byte, len(req.Pairs))
+	// Replicas drop a command they cannot decode, so do would wait forever
+	// on an op that never travels a shard's order.
+	if req.Op < ReqGet || req.Op > ReqTxnResolve {
+		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
+	}
+	ids, cmds := []uint64{req.ID}, [][]byte{nil}
+	if req.Op == ReqBatchPut {
+		ids, cmds = req.IDs, make([][]byte, len(req.Pairs))
 		for i, p := range req.Pairs {
-			cmds[i] = encodePut(req.IDs[i], p.Key, p.Val)
+			cmds[i] = encodeCommand(&Request{Op: ReqPut, ID: req.IDs[i], Key: p.Key, Val: p.Val})
 		}
-		if _, err := s.do(ctx, shard, req.IDs, cmds...); err != nil {
-			return nil, err
-		}
-		return &Response{OK: true}, nil
-	case ReqTxnPrepare:
-		cmd := encodeTxnPrepare(req.ID, req.TxnID, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
-		res, err := s.do(ctx, shard, []uint64{req.ID}, cmd)
-		if err != nil {
-			return nil, err
-		}
-		out := &Response{OK: res.OK, TxnState: res.TxnState, Conflict: res.Conflict, CondFailed: res.CondFailed,
-			Values: make([][]byte, len(res.Values)), Found: append([]bool(nil), res.Found...)}
+	} else {
+		cmds[0] = encodeCommand(req)
+	}
+	res, err := s.do(ctx, shard, ids, cmds...)
+	if err != nil {
+		return nil, err
+	}
+	out := &Response{OK: res.OK, TxnState: res.TxnState, Conflict: res.Conflict, CondFailed: res.CondFailed,
+		Found: append([]bool(nil), res.Found...)}
+	if res.Values != nil {
+		out.Values = make([][]byte, len(res.Values))
 		for i, v := range res.Values {
 			out.Values[i] = copyVal(v)
 		}
-		return out, nil
-	case ReqTxnResolve:
-		res, err := s.do(ctx, shard, []uint64{req.ID}, encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys))
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: res.OK, TxnState: res.TxnState}, nil
-	default:
-		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
 	}
+	return out, nil
 }
 
 // do submits cmds, one per id, to shard as one burst and waits until every

@@ -5,18 +5,30 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
-// Wire format for shard commands. Every command travels through the shard
-// group's total order and is applied by every replica, so the encoding must
-// be deterministic and self-contained:
+// One codec serves both hops an op takes: the access protocol between a
+// client and a node's Service, and the shard command that travels a shard
+// group's total order. A client op has one byte layout on every hop — the
+// same op code and the same payload (appendOp) — and one reader (below)
+// parses it wherever it arrives.
 //
-//	op(1) | id(8, big-endian) | op-specific payload
+// Shard commands are applied by every replica, so the encoding must be
+// deterministic and self-contained:
 //
+//	op(1) | id(8, big-endian) | op payload
+//
+// A client op (ReqGet … ReqTxnResolve) carries its access-protocol payload;
+// ReqBatchPut travels as one ReqPut command per pair, and ReqTxn never
+// travels a shard's order (its coordinator issues prepares and resolves).
 // Byte strings are uvarint-length-prefixed. The id correlates a command with
 // the result its apply deposits in the state machine's result window; ids
 // are unique per client operation (random client nonce + counter).
+//
+// The internal ops below are sequenced by the store itself, never sent by a
+// client; they number from 32 so they can never collide with a request op.
 //
 // The migrate ops are the live-resharding handoff protocol: begin installs a
 // pending routing table (freezing the ranges that move away), import streams
@@ -25,22 +37,17 @@ import (
 // ordinary sequenced commands they are journaled by the write-ahead log like
 // any write — a crash mid-handoff recovers the exact migration state.
 //
-// The txn ops are the sequenced-2PC participant protocol (see txn.go):
-// prepare locks a transaction's local keys and captures its reads at one
-// position in the shard's total order; resolve applies or discards the
-// portion. Like the migrate ops they are ordinary sequenced commands, so an
-// in-doubt transaction survives any crash the write-ahead log survives.
+// The txn ops (ReqTxnPrepare, ReqTxnResolve) are the sequenced-2PC
+// participant protocol (see txn.go): prepare locks a transaction's local
+// keys and captures its reads at one position in the shard's total order;
+// resolve applies or discards the portion. Like the migrate ops they are
+// ordinary sequenced commands, so an in-doubt transaction survives any crash
+// the write-ahead log survives.
 const (
-	opPut byte = iota + 1
-	opDelete
-	opCAS
-	opGet
-	opMigrateBegin
+	opMigrateBegin byte = iota + 32
 	opMigrateCommit
 	opMigrateAbort
 	opMigrateImport
-	opTxnPrepare
-	opTxnResolve
 	// opAudit is the sequenced self-audit: every replica computes a
 	// range-partitioned digest of its replicated state at the command's
 	// position in the total order and reports it to the node's auditor (see
@@ -57,207 +64,14 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// takeBytes consumes one length-prefixed byte string.
-func takeBytes(src []byte) ([]byte, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || uint64(len(src)-w) < n {
-		return nil, nil, errBadCommand
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
 	}
-	return src[w : w+int(n) : w+int(n)], src[w+int(n):], nil
+	return append(dst, 0)
 }
 
-func commandHeader(op byte, id uint64) []byte {
-	dst := make([]byte, 9, 32)
-	dst[0] = op
-	binary.BigEndian.PutUint64(dst[1:], id)
-	return dst
-}
-
-func encodePut(id uint64, key string, val []byte) []byte {
-	dst := appendBytes(commandHeader(opPut, id), []byte(key))
-	return appendBytes(dst, val)
-}
-
-func encodeDelete(id uint64, key string) []byte {
-	return appendBytes(commandHeader(opDelete, id), []byte(key))
-}
-
-// encodeAudit encodes a sequenced audit over ranges digest partitions.
-func encodeAudit(id uint64, ranges int) []byte {
-	return binary.AppendUvarint(commandHeader(opAudit, id), uint64(ranges))
-}
-
-// encodeCAS encodes a compare-and-swap. expectPresent=false means the swap
-// succeeds only if the key is absent (atomic create).
-func encodeCAS(id uint64, key string, expectPresent bool, expect, val []byte) []byte {
-	dst := appendBytes(commandHeader(opCAS, id), []byte(key))
-	if expectPresent {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = appendBytes(dst, expect)
-	return appendBytes(dst, val)
-}
-
-// encodeGet encodes a sequenced read of one or more keys on one shard. The
-// read travels the total order like a write, so the values it captures are
-// linearizable.
-func encodeGet(id uint64, keys []string) []byte {
-	dst := binary.AppendUvarint(commandHeader(opGet, id), uint64(len(keys)))
-	for _, k := range keys {
-		dst = appendBytes(dst, []byte(k))
-	}
-	return dst
-}
-
-// appendRouting / takeRouting encode a routing table as three uvarints.
-func appendRouting(dst []byte, rt Routing) []byte {
-	dst = binary.AppendUvarint(dst, rt.Epoch)
-	dst = binary.AppendUvarint(dst, uint64(rt.Shards))
-	return binary.AppendUvarint(dst, uint64(rt.VNodes))
-}
-
-func takeRouting(src []byte) (Routing, []byte, error) {
-	var rt Routing
-	e, w := binary.Uvarint(src)
-	if w <= 0 {
-		return rt, nil, errBadCommand
-	}
-	src = src[w:]
-	sh, w := binary.Uvarint(src)
-	if w <= 0 || sh == 0 || sh > 1<<20 {
-		return rt, nil, errBadCommand
-	}
-	src = src[w:]
-	vn, w := binary.Uvarint(src)
-	if w <= 0 || vn > 1<<20 {
-		return rt, nil, errBadCommand
-	}
-	rt.Epoch, rt.Shards, rt.VNodes = e, int(sh), int(vn)
-	return rt, src[w:], nil
-}
-
-// encodeMigrate encodes a begin, commit, or abort carrying the target table.
-func encodeMigrate(op byte, id uint64, rt Routing) []byte {
-	return appendRouting(commandHeader(op, id), rt)
-}
-
-// encodeMigrateImport encodes one chunk of pairs (and migrated dedup
-// results and transaction portions) streamed into their new owner, tagged
-// with the target epoch that gates its application.
-func encodeMigrateImport(id uint64, rt Routing, chunk *importChunk) []byte {
-	dst := appendRouting(commandHeader(opMigrateImport, id), rt)
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Pairs)))
-	for _, p := range chunk.Pairs {
-		dst = appendBytes(dst, []byte(p.Key))
-		dst = appendBytes(dst, p.Val)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Results)))
-	for _, r := range chunk.Results {
-		dst = binary.BigEndian.AppendUint64(dst, r.ID)
-		if r.OK {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, []byte(r.Key))
-	}
-	// Transaction portions travel as their snapshot (JSON) form: they are
-	// rare relative to pairs, and reusing the snapshot codec keeps the two
-	// serialisations from drifting apart.
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
-	for _, p := range chunk.Txns {
-		blob, err := json.Marshal(p)
-		if err != nil {
-			blob = nil // unreachable: txnPortion has no unmarshalable fields
-		}
-		dst = appendBytes(dst, blob)
-	}
-	return dst
-}
-
-// appendTxnWrites / appendTxnConds encode a prepare's write and condition
-// sets, shared between the shard command and the access protocol.
-func appendTxnWrites(dst []byte, writes []TxnWrite) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(writes)))
-	for _, w := range writes {
-		dst = appendBytes(dst, []byte(w.Key))
-		if w.Delete {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, w.Val)
-	}
-	return dst
-}
-
-func takeTxnWrites(src []byte) ([]TxnWrite, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)) {
-		return nil, nil, errBadCommand
-	}
-	src = src[w:]
-	out := make([]TxnWrite, 0, n)
-	for i := uint64(0); i < n; i++ {
-		raw, rest, err := takeBytes(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		tw := TxnWrite{Key: string(raw)}
-		if len(rest) < 1 {
-			return nil, nil, errBadCommand
-		}
-		tw.Delete = rest[0] != 0
-		if tw.Val, src, err = takeBytes(rest[1:]); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, tw)
-	}
-	return out, src, nil
-}
-
-func appendTxnConds(dst []byte, conds []TxnCond) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(conds)))
-	for _, c := range conds {
-		dst = appendBytes(dst, []byte(c.Key))
-		if c.ExpectPresent {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, c.Expect)
-	}
-	return dst
-}
-
-func takeTxnConds(src []byte) ([]TxnCond, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)) {
-		return nil, nil, errBadCommand
-	}
-	src = src[w:]
-	out := make([]TxnCond, 0, n)
-	for i := uint64(0); i < n; i++ {
-		raw, rest, err := takeBytes(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		tc := TxnCond{Key: string(raw)}
-		if len(rest) < 1 {
-			return nil, nil, errBadCommand
-		}
-		tc.ExpectPresent = rest[0] != 0
-		if tc.Expect, src, err = takeBytes(rest[1:]); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, tc)
-	}
-	return out, src, nil
-}
-
-// appendKeys / takeKeys encode a key list.
+// appendKeys appends a key list: a count, then each key.
 func appendKeys(dst []byte, keys []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
@@ -266,60 +80,83 @@ func appendKeys(dst []byte, keys []string) []byte {
 	return dst
 }
 
-func takeKeys(src []byte) ([]string, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)) {
-		return nil, nil, errBadCommand
-	}
-	src = src[w:]
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		raw, rest, err := takeBytes(src)
-		if err != nil {
-			return nil, nil, err
+// appendRouting appends a routing table as three uvarints.
+func appendRouting(dst []byte, rt Routing) []byte {
+	dst = binary.AppendUvarint(dst, rt.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(rt.Shards))
+	return binary.AppendUvarint(dst, uint64(rt.VNodes))
+}
+
+// appendOp appends r's op payload: everything after the header, identical in
+// an access request and a shard command.
+func appendOp(dst []byte, r *Request) []byte {
+	switch r.Op {
+	case ReqGet:
+		// v4: the staleness bound precedes the keys (always present).
+		dst = binary.AppendUvarint(dst, uint64(r.MaxStale/time.Millisecond))
+		dst = appendKeys(dst, r.Keys)
+	case ReqPut:
+		dst = appendBytes(dst, []byte(r.Key))
+		dst = appendBytes(dst, r.Val)
+	case ReqDelete:
+		dst = appendBytes(dst, []byte(r.Key))
+	case ReqCAS:
+		dst = appendBytes(dst, []byte(r.Key))
+		dst = appendBool(dst, r.ExpectPresent)
+		dst = appendBytes(dst, r.Expect)
+		dst = appendBytes(dst, r.Val)
+	case ReqBatchPut:
+		dst = binary.AppendUvarint(dst, uint64(len(r.Pairs)))
+		for i, p := range r.Pairs {
+			dst = binary.BigEndian.AppendUint64(dst, r.IDs[i])
+			dst = appendBytes(dst, []byte(p.Key))
+			dst = appendBytes(dst, p.Val)
 		}
-		out = append(out, string(raw))
-		src = rest
+	case ReqTxnPrepare:
+		// The txn id is distinct from the command id, so re-drives with
+		// fresh command ids still converge on one portion.
+		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
+		dst = appendBytes(dst, []byte(r.HomeKey))
+		dst = appendKeys(dst, r.AllKeys)
+		dst = appendKeys(dst, r.Keys)
+		dst = appendTxnOps(dst, r.Writes, r.Conds)
+	case ReqTxnResolve:
+		// The full key set lets a shard that never saw the prepare fence
+		// the decision for the keys it serves.
+		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
+		dst = appendBool(dst, r.Commit)
+		dst = appendBytes(dst, []byte(r.Key))
+		dst = appendBytes(dst, []byte(r.HomeKey))
+		dst = appendKeys(dst, r.AllKeys)
+	case ReqTxn:
+		dst = appendKeys(dst, r.Keys)
+		dst = appendTxnOps(dst, r.Writes, r.Conds)
 	}
-	return out, src, nil
+	return dst
 }
 
-// encodeTxnPrepare encodes a transaction prepare: lock the local keys, check
-// the conditions, capture the reads — all at one position in the shard's
-// total order. The txn id is carried in the payload (distinct from the
-// command id) so re-drives with fresh command ids still converge on one
-// portion.
-func encodeTxnPrepare(id, txnID uint64, homeKey string, allKeys, reads []string, writes []TxnWrite, conds []TxnCond) []byte {
-	dst := commandHeader(opTxnPrepare, id)
-	dst = binary.BigEndian.AppendUint64(dst, txnID)
-	dst = appendBytes(dst, []byte(homeKey))
-	dst = appendKeys(dst, allKeys)
-	dst = appendKeys(dst, reads)
-	dst = appendTxnWrites(dst, writes)
-	return appendTxnConds(dst, conds)
-}
-
-// encodeTxnResolve encodes a transaction resolve (commit or abort). It
-// carries the full key set so a shard that never saw the prepare can fence
-// the decision for the keys it serves.
-func encodeTxnResolve(id, txnID uint64, commit bool, homeKey string, allKeys []string) []byte {
-	dst := commandHeader(opTxnResolve, id)
-	dst = binary.BigEndian.AppendUint64(dst, txnID)
-	if commit {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+// appendTxnOps appends a transaction's write and condition sets.
+func appendTxnOps(dst []byte, writes []TxnWrite, conds []TxnCond) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(writes)))
+	for _, w := range writes {
+		dst = appendBytes(dst, []byte(w.Key))
+		dst = appendBool(dst, w.Delete)
+		dst = appendBytes(dst, w.Val)
 	}
-	dst = appendBytes(dst, []byte(homeKey))
-	return appendKeys(dst, allKeys)
+	dst = binary.AppendUvarint(dst, uint64(len(conds)))
+	for _, c := range conds {
+		dst = appendBytes(dst, []byte(c.Key))
+		dst = appendBool(dst, c.ExpectPresent)
+		dst = appendBytes(dst, c.Expect)
+	}
+	return dst
 }
 
 // --- Access protocol (client ↔ service) --------------------------------------
 //
-// The shard-command codec above is what travels a shard group's total order;
-// the access protocol below is what travels between a client and a node's
-// Service over Amoeba RPC — and, re-rendered as text, over amoeba-kv's TCP
-// line protocol — so the in-process client, the RPC proxy, and the external
+// The access protocol is what travels between a client and a node's Service
+// over Amoeba RPC — and, re-rendered as text, over amoeba-kv's TCP line
+// protocol — so the in-process client, the RPC proxy, and the external
 // daemon speak one protocol. Requests are self-describing and versioned:
 //
 //	ver(1) | op(1) | flags(1) | budget-ms uvarint | epoch uvarint | id(8) | op payload
@@ -464,215 +301,29 @@ func EncodeRequest(r *Request) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Budget/time.Millisecond))
 	dst = binary.AppendUvarint(dst, r.Epoch)
 	dst = binary.BigEndian.AppendUint64(dst, r.ID)
-	switch r.Op {
-	case ReqGet:
-		// v4: the staleness bound precedes the keys (always present).
-		dst = binary.AppendUvarint(dst, uint64(r.MaxStale/time.Millisecond))
-		dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
-		for _, k := range r.Keys {
-			dst = appendBytes(dst, []byte(k))
-		}
-	case ReqPut:
-		dst = appendBytes(dst, []byte(r.Key))
-		dst = appendBytes(dst, r.Val)
-	case ReqDelete:
-		dst = appendBytes(dst, []byte(r.Key))
-	case ReqCAS:
-		dst = appendBytes(dst, []byte(r.Key))
-		if r.ExpectPresent {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, r.Expect)
-		dst = appendBytes(dst, r.Val)
-	case ReqBatchPut:
-		dst = binary.AppendUvarint(dst, uint64(len(r.Pairs)))
-		for i, p := range r.Pairs {
-			dst = binary.BigEndian.AppendUint64(dst, r.IDs[i])
-			dst = appendBytes(dst, []byte(p.Key))
-			dst = appendBytes(dst, p.Val)
-		}
-	case ReqTxnPrepare:
-		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
-		dst = appendBytes(dst, []byte(r.HomeKey))
-		dst = appendKeys(dst, r.AllKeys)
-		dst = appendKeys(dst, r.Keys)
-		dst = appendTxnWrites(dst, r.Writes)
-		dst = appendTxnConds(dst, r.Conds)
-	case ReqTxnResolve:
-		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
-		if r.Commit {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, []byte(r.Key))
-		dst = appendBytes(dst, []byte(r.HomeKey))
-		dst = appendKeys(dst, r.AllKeys)
-	case ReqTxn:
-		dst = appendKeys(dst, r.Keys)
-		dst = appendTxnWrites(dst, r.Writes)
-		dst = appendTxnConds(dst, r.Conds)
-	}
-	return dst
+	return appendOp(dst, r)
 }
 
 // DecodeRequest parses a wire request, rejecting unknown versions and ops.
+// A ReqGet needs at least one key and a ReqBatchPut at least one pair.
 func DecodeRequest(b []byte) (*Request, error) {
-	if len(b) < 3 {
-		return nil, errBadRequest
-	}
-	if b[0] != ProtoVersion {
+	if len(b) >= 3 && b[0] != ProtoVersion {
 		return nil, errVersion
 	}
-	r := &Request{Op: b[1], Flags: b[2]}
-	rest := b[3:]
-	ms, w := binary.Uvarint(rest)
-	if w <= 0 {
+	rd := reader{b: b}
+	rd.u8() // version
+	q := &Request{Op: rd.u8(), Flags: rd.u8()}
+	q.Budget = rd.millis()
+	q.Epoch = rd.uvarint()
+	q.ID = rd.u64()
+	known := rd.readOp(q)
+	if rd.bad || q.Op == ReqGet && len(q.Keys) == 0 || q.Op == ReqBatchPut && len(q.Pairs) == 0 {
 		return nil, errBadRequest
 	}
-	r.Budget = time.Duration(ms) * time.Millisecond
-	rest = rest[w:]
-	epoch, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return nil, errBadRequest
+	if !known {
+		return nil, fmt.Errorf("kv: unknown request op %d: %w", q.Op, errBadRequest)
 	}
-	r.Epoch = epoch
-	rest = rest[w:]
-	if len(rest) < 8 {
-		return nil, errBadRequest
-	}
-	r.ID = binary.BigEndian.Uint64(rest)
-	rest = rest[8:]
-	var raw []byte
-	var err error
-	switch r.Op {
-	case ReqGet:
-		stale, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return nil, errBadRequest
-		}
-		r.MaxStale = time.Duration(stale) * time.Millisecond
-		rest = rest[w:]
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > uint64(len(rest)) {
-			return nil, errBadRequest
-		}
-		rest = rest[w:]
-		r.Keys = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, errBadRequest
-			}
-			r.Keys = append(r.Keys, string(raw))
-		}
-	case ReqPut:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-		if r.Val, _, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-	case ReqDelete:
-		if raw, _, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-	case ReqCAS:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-		if len(rest) < 1 {
-			return nil, errBadRequest
-		}
-		r.ExpectPresent = rest[0] != 0
-		rest = rest[1:]
-		if r.Expect, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Val, _, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-	case ReqBatchPut:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > uint64(len(rest)) {
-			return nil, errBadRequest
-		}
-		rest = rest[w:]
-		r.Pairs = make([]Pair, 0, n)
-		r.IDs = make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 8 {
-				return nil, errBadRequest
-			}
-			r.IDs = append(r.IDs, binary.BigEndian.Uint64(rest))
-			rest = rest[8:]
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, errBadRequest
-			}
-			key := string(raw)
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, errBadRequest
-			}
-			r.Pairs = append(r.Pairs, Pair{Key: key, Val: raw})
-		}
-	case ReqTxnPrepare:
-		if len(rest) < 8 {
-			return nil, errBadRequest
-		}
-		r.TxnID = binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.HomeKey = string(raw)
-		if r.AllKeys, rest, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Keys, rest, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Writes, rest, err = takeTxnWrites(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Conds, _, err = takeTxnConds(rest); err != nil {
-			return nil, errBadRequest
-		}
-	case ReqTxnResolve:
-		if len(rest) < 9 {
-			return nil, errBadRequest
-		}
-		r.TxnID = binary.BigEndian.Uint64(rest)
-		r.Commit = rest[8] != 0
-		rest = rest[9:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.HomeKey = string(raw)
-		if r.AllKeys, _, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-	case ReqTxn:
-		if r.Keys, rest, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Writes, rest, err = takeTxnWrites(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Conds, _, err = takeTxnConds(rest); err != nil {
-			return nil, errBadRequest
-		}
-	default:
-		return nil, fmt.Errorf("kv: unknown request op %d: %w", r.Op, errBadRequest)
-	}
-	return r, nil
+	return q, nil
 }
 
 // Response statuses.
@@ -728,11 +379,7 @@ func EncodeResponse(r *Response) []byte {
 		return appendBytes(dst, []byte(r.Err))
 	}
 	dst = append(dst, ProtoVersion, statusOK)
-	if r.OK {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, r.OK)
 	// Txn outcome byte (v3): bits 0–1 TxnState, bit 2 Conflict, bit 3
 	// CondFailed. Always present; zero for non-txn responses.
 	txn := r.TxnState & 3
@@ -749,19 +396,13 @@ func EncodeResponse(r *Response) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.StaleFor/time.Millisecond))
 	dst = binary.AppendUvarint(dst, uint64(r.Nodes))
 	dst = binary.AppendUvarint(dst, uint64(r.Replication))
+	dst = appendBool(dst, r.Routing != nil)
 	if r.Routing != nil {
-		dst = append(dst, 1)
 		dst = appendRouting(dst, *r.Routing)
-	} else {
-		dst = append(dst, 0)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
 	for i, v := range r.Values {
-		if i < len(r.Found) && r.Found[i] {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, i < len(r.Found) && r.Found[i])
 		dst = appendBytes(dst, v)
 	}
 	return dst
@@ -769,272 +410,319 @@ func EncodeResponse(r *Response) []byte {
 
 // DecodeResponse parses a wire response.
 func DecodeResponse(b []byte) (*Response, error) {
-	if len(b) < 2 {
-		return nil, errBadRequest
-	}
-	if b[0] != ProtoVersion {
+	if len(b) >= 2 && b[0] != ProtoVersion {
 		return nil, errVersion
 	}
+	rd := reader{b: b}
+	rd.u8() // version
 	r := &Response{}
-	rest := b[2:]
-	switch b[1] {
+	switch rd.u8() {
 	case statusErr:
-		raw, _, err := takeBytes(rest)
-		if err != nil {
-			return nil, errBadRequest
-		}
-		r.Err = string(raw)
+		r.Err = rd.str()
 		if r.Err == "" {
 			r.Err = "kv: unspecified remote error"
 		}
-		return r, nil
 	case statusOK:
-		if len(rest) < 3 {
-			return nil, errBadRequest
-		}
-		r.OK = rest[0] != 0
-		r.TxnState = rest[1] & 3
-		r.Conflict = rest[1]&(1<<2) != 0
-		r.CondFailed = rest[1]&(1<<3) != 0
-		r.ReadPath = rest[2]
-		rest = rest[3:]
-		stale, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return nil, errBadRequest
-		}
-		r.StaleFor = time.Duration(stale) * time.Millisecond
-		rest = rest[w:]
-		nodes, w := binary.Uvarint(rest)
-		if w <= 0 || nodes > 1<<20 {
-			return nil, errBadRequest
-		}
-		r.Nodes = int(nodes)
-		rest = rest[w:]
-		repl, w := binary.Uvarint(rest)
-		if w <= 0 || repl > 1<<20 {
-			return nil, errBadRequest
-		}
-		r.Replication = int(repl)
-		rest = rest[w:]
-		if len(rest) < 1 {
-			return nil, errBadRequest
-		}
-		hasRouting := rest[0] != 0
-		rest = rest[1:]
-		if hasRouting {
-			rt, tail, err := takeRouting(rest)
-			if err != nil {
-				return nil, errBadRequest
-			}
+		r.OK = rd.flag()
+		txn := rd.u8()
+		r.TxnState = txn & 3
+		r.Conflict = txn&(1<<2) != 0
+		r.CondFailed = txn&(1<<3) != 0
+		r.ReadPath = rd.u8()
+		r.StaleFor = rd.millis()
+		r.Nodes = int(rd.within(0, 1<<20))
+		r.Replication = int(rd.within(0, 1<<20))
+		if rd.flag() {
+			rt := rd.routing()
 			r.Routing = &rt
-			rest = tail
 		}
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
-			return nil, errBadRequest
+		n := rd.count()
+		r.Values = make([][]byte, n)
+		r.Found = make([]bool, n)
+		for i := range r.Values {
+			r.Found[i] = rd.flag()
+			// Values are copied out: the response outlives the RPC buffer.
+			if v := rd.bytes(); r.Found[i] {
+				r.Values[i] = append([]byte(nil), v...)
+			}
 		}
-		rest = rest[w:]
-		r.Values = make([][]byte, 0, n)
-		r.Found = make([]bool, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 1 {
-				return nil, errBadRequest
-			}
-			found := rest[0] != 0
-			rest = rest[1:]
-			raw, tail, err := takeBytes(rest)
-			if err != nil {
-				return nil, errBadRequest
-			}
-			rest = tail
-			val := append([]byte(nil), raw...)
-			if !found {
-				val = nil
-			}
-			r.Values = append(r.Values, val)
-			r.Found = append(r.Found, found)
-		}
-		return r, nil
 	default:
+		rd.fail()
+	}
+	if rd.bad {
 		return nil, errBadRequest
 	}
+	return r, nil
 }
 
-// command is the decoded form of a wire command.
+// --- Shard commands ------------------------------------------------------------
+
+// command is a decoded shard command: a client op's Request, plus the fields
+// of the internal ops.
 type command struct {
-	op            byte
-	id            uint64
-	key           string
-	val           []byte
-	expectPresent bool
-	expect        []byte
-	keys          []string       // opGet; opTxnPrepare: the read set
-	routing       Routing        // migrate ops: the target table
-	pairs         []Pair         // opMigrateImport
-	impResults    []importResult // opMigrateImport: migrated dedup results
-	txns          []*txnPortion  // opMigrateImport: migrated txn portions
-	txnID         uint64         // txn ops
-	txnCommit     bool           // opTxnResolve: the decision
-	homeKey       string         // txn ops
-	allKeys       []string       // txn ops
-	writes        []TxnWrite     // opTxnPrepare
-	conds         []TxnCond      // opTxnPrepare
-	ranges        int            // opAudit: digest partition count
+	Request
+	routing Routing     // migrate ops: the target table
+	chunk   importChunk // opMigrateImport
+	ranges  int         // opAudit: digest partition count
 }
 
+func commandHeader(op byte, id uint64) []byte {
+	dst := make([]byte, 9, 32)
+	dst[0] = op
+	binary.BigEndian.PutUint64(dst[1:], id)
+	return dst
+}
+
+// encodeCommand renders a single-command client op (ReqGet … ReqTxnResolve,
+// but not ReqBatchPut) as a shard command.
+func encodeCommand(r *Request) []byte {
+	return appendOp(commandHeader(r.Op, r.ID), r)
+}
+
+// encodeAudit encodes a sequenced audit over ranges digest partitions.
+func encodeAudit(id uint64, ranges int) []byte {
+	return binary.AppendUvarint(commandHeader(opAudit, id), uint64(ranges))
+}
+
+// encodeMigrate encodes a begin, commit, or abort carrying the target table.
+func encodeMigrate(op byte, id uint64, rt Routing) []byte {
+	return appendRouting(commandHeader(op, id), rt)
+}
+
+// encodeMigrateImport encodes one chunk of pairs (and migrated dedup
+// results and transaction portions) streamed into their new owner, tagged
+// with the target epoch that gates its application.
+func encodeMigrateImport(id uint64, rt Routing, chunk *importChunk) []byte {
+	dst := appendRouting(commandHeader(opMigrateImport, id), rt)
+	dst = binary.AppendUvarint(dst, uint64(len(chunk.Pairs)))
+	for _, p := range chunk.Pairs {
+		dst = appendBytes(dst, []byte(p.Key))
+		dst = appendBytes(dst, p.Val)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(chunk.Results)))
+	for _, r := range chunk.Results {
+		dst = binary.BigEndian.AppendUint64(dst, r.ID)
+		dst = appendBool(dst, r.OK)
+		dst = appendBytes(dst, []byte(r.Key))
+	}
+	// Transaction portions travel as their snapshot (JSON) form: they are
+	// rare relative to pairs, and reusing the snapshot codec keeps the two
+	// serialisations from drifting apart.
+	dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
+	for _, p := range chunk.Txns {
+		blob, err := json.Marshal(p)
+		if err != nil {
+			blob = nil // unreachable: txnPortion has no unmarshalable fields
+		}
+		dst = appendBytes(dst, blob)
+	}
+	return dst
+}
+
+// decodeCommand parses a shard command. ReqBatchPut and ReqTxn never travel
+// a shard's order, so they are rejected like any unknown op.
 func decodeCommand(b []byte) (command, error) {
-	if len(b) < 9 {
+	rd := reader{b: b}
+	var c command
+	c.Op = rd.u8()
+	c.ID = rd.u64()
+	known := true
+	switch c.Op {
+	case ReqBatchPut, ReqTxn:
+		known = false
+	case opMigrateBegin, opMigrateCommit, opMigrateAbort:
+		c.routing = rd.routing()
+	case opMigrateImport:
+		c.routing = rd.routing()
+		rd.importChunk(&c.chunk)
+	case opAudit:
+		c.ranges = int(rd.within(1, maxAuditRanges))
+	default:
+		known = rd.readOp(&c.Request)
+	}
+	if rd.bad {
 		return command{}, errBadCommand
 	}
-	c := command{op: b[0], id: binary.BigEndian.Uint64(b[1:9])}
-	rest := b[9:]
-	var err error
-	var raw []byte
-	switch c.op {
-	case opPut:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.key = string(raw)
-		if c.val, _, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-	case opDelete:
-		if raw, _, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.key = string(raw)
-	case opCAS:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.key = string(raw)
-		if len(rest) < 1 {
-			return command{}, errBadCommand
-		}
-		c.expectPresent = rest[0] != 0
-		rest = rest[1:]
-		if c.expect, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		if c.val, _, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-	case opGet:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.keys = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			c.keys = append(c.keys, string(raw))
-		}
-	case opMigrateBegin, opMigrateCommit, opMigrateAbort:
-		if c.routing, _, err = takeRouting(rest); err != nil {
-			return command{}, err
-		}
-	case opMigrateImport:
-		if c.routing, rest, err = takeRouting(rest); err != nil {
-			return command{}, err
-		}
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.pairs = make([]Pair, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			key := string(raw)
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			c.pairs = append(c.pairs, Pair{Key: key, Val: append([]byte(nil), raw...)})
-		}
-		n, w = binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.impResults = make([]importResult, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 9 {
-				return command{}, errBadCommand
-			}
-			ir := importResult{ID: binary.BigEndian.Uint64(rest), OK: rest[8] != 0}
-			rest = rest[9:]
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			ir.Key = string(raw)
-			c.impResults = append(c.impResults, ir)
-		}
-		n, w = binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.txns = make([]*txnPortion, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			p := &txnPortion{}
-			if err := json.Unmarshal(raw, p); err != nil {
-				return command{}, errBadCommand
-			}
-			c.txns = append(c.txns, p)
-		}
-	case opTxnPrepare:
-		if len(rest) < 8 {
-			return command{}, errBadCommand
-		}
-		c.txnID = binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.homeKey = string(raw)
-		if c.allKeys, rest, err = takeKeys(rest); err != nil {
-			return command{}, err
-		}
-		if c.keys, rest, err = takeKeys(rest); err != nil {
-			return command{}, err
-		}
-		if c.writes, rest, err = takeTxnWrites(rest); err != nil {
-			return command{}, err
-		}
-		if c.conds, _, err = takeTxnConds(rest); err != nil {
-			return command{}, err
-		}
-	case opTxnResolve:
-		if len(rest) < 9 {
-			return command{}, errBadCommand
-		}
-		c.txnID = binary.BigEndian.Uint64(rest)
-		c.txnCommit = rest[8] != 0
-		rest = rest[9:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.homeKey = string(raw)
-		if c.allKeys, _, err = takeKeys(rest); err != nil {
-			return command{}, err
-		}
-	case opAudit:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > maxAuditRanges {
-			return command{}, errBadCommand
-		}
-		c.ranges = int(n)
-	default:
-		return command{}, fmt.Errorf("kv: unknown op %d: %w", c.op, errBadCommand)
+	if !known {
+		return command{}, fmt.Errorf("kv: unknown op %d: %w", c.Op, errBadCommand)
 	}
 	return c, nil
+}
+
+// --- Reader ----------------------------------------------------------------------
+
+// reader consumes an encoding field by field. The first malformed field
+// marks it bad and empties the input, so every later read yields a zero
+// value and a decoder checks bad once, at the end. Counts and lengths may
+// not exceed the bytes left, which also caps what a malformed input can
+// make a decoder allocate.
+type reader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *reader) fail() {
+	r.b, r.bad = nil, true
+}
+
+func (r *reader) u8() byte {
+	if len(r.b) < 1 {
+		r.fail()
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *reader) flag() bool { return r.u8() != 0 }
+
+func (r *reader) u64() uint64 {
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *reader) uvarint() uint64 {
+	v, w := binary.Uvarint(r.b)
+	if w <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[w:]
+	return v
+}
+
+// within reads a uvarint that must lie in [lo, hi].
+func (r *reader) within(lo, hi uint64) uint64 {
+	v := r.uvarint()
+	if v < lo || v > hi {
+		r.fail()
+		return 0
+	}
+	return v
+}
+
+// count reads an element count or a byte-string length. Either may not
+// exceed the bytes left: every element, like every byte, takes at least one.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// millis reads a millisecond count as a Duration, saturating rather than
+// overflowing.
+func (r *reader) millis() time.Duration {
+	ms := min(r.uvarint(), math.MaxInt64/uint64(time.Millisecond))
+	return time.Duration(ms) * time.Millisecond
+}
+
+// bytes reads a length-prefixed byte string. The result aliases the input
+// (capacity-capped, so an append cannot clobber what follows).
+func (r *reader) bytes() []byte {
+	n := r.count()
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) str() string { return string(r.bytes()) }
+
+func (r *reader) keys() []string {
+	keys := make([]string, r.count())
+	for i := range keys {
+		keys[i] = r.str()
+	}
+	return keys
+}
+
+// routing reads a routing table: 1..2^20 shards, at most 2^20 vnodes.
+func (r *reader) routing() Routing {
+	return Routing{Epoch: r.uvarint(), Shards: int(r.within(1, 1<<20)), VNodes: int(r.within(0, 1<<20))}
+}
+
+// readOp reads q.Op's payload — the inverse of appendOp — and reports
+// whether the op is a known request op.
+func (r *reader) readOp(q *Request) bool {
+	switch q.Op {
+	case ReqGet:
+		q.MaxStale = r.millis()
+		q.Keys = r.keys()
+	case ReqPut:
+		q.Key = r.str()
+		q.Val = r.bytes()
+	case ReqDelete:
+		q.Key = r.str()
+	case ReqCAS:
+		q.Key = r.str()
+		q.ExpectPresent = r.flag()
+		q.Expect = r.bytes()
+		q.Val = r.bytes()
+	case ReqBatchPut:
+		n := r.count()
+		q.Pairs = make([]Pair, n)
+		q.IDs = make([]uint64, n)
+		for i := range q.Pairs {
+			q.IDs[i] = r.u64()
+			q.Pairs[i] = Pair{Key: r.str(), Val: r.bytes()}
+		}
+	case ReqTxnPrepare:
+		q.TxnID = r.u64()
+		q.HomeKey = r.str()
+		q.AllKeys = r.keys()
+		q.Keys = r.keys()
+		r.txnOps(q)
+	case ReqTxnResolve:
+		q.TxnID = r.u64()
+		q.Commit = r.flag()
+		q.Key = r.str()
+		q.HomeKey = r.str()
+		q.AllKeys = r.keys()
+	case ReqTxn:
+		q.Keys = r.keys()
+		r.txnOps(q)
+	default:
+		return false
+	}
+	return true
+}
+
+// txnOps reads a transaction's write and condition sets into q.
+func (r *reader) txnOps(q *Request) {
+	q.Writes = make([]TxnWrite, r.count())
+	for i := range q.Writes {
+		q.Writes[i] = TxnWrite{Key: r.str(), Delete: r.flag(), Val: r.bytes()}
+	}
+	q.Conds = make([]TxnCond, r.count())
+	for i := range q.Conds {
+		q.Conds[i] = TxnCond{Key: r.str(), ExpectPresent: r.flag(), Expect: r.bytes()}
+	}
+}
+
+// importChunk reads a migrate-import's cargo. Pair values are copied so a
+// live item does not pin the whole chunk's buffer.
+func (r *reader) importChunk(c *importChunk) {
+	c.Pairs = make([]Pair, r.count())
+	for i := range c.Pairs {
+		c.Pairs[i] = Pair{Key: r.str(), Val: append([]byte(nil), r.bytes()...)}
+	}
+	c.Results = make([]importResult, r.count())
+	for i := range c.Results {
+		c.Results[i] = importResult{ID: r.u64(), OK: r.flag(), Key: r.str()}
+	}
+	c.Txns = make([]*txnPortion, r.count())
+	for i := range c.Txns {
+		c.Txns[i] = &txnPortion{}
+		if err := json.Unmarshal(r.bytes(), c.Txns[i]); err != nil {
+			r.fail()
+		}
+	}
 }

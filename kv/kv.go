@@ -81,7 +81,9 @@ type Options struct {
 	// VirtualNodes is the consistent-hash points per shard (default 64).
 	VirtualNodes int
 	// ResultWindow bounds the per-shard replicated result table
-	// (default 65536 commands).
+	// (default 65536 commands), and with it the exactly-once horizon: a
+	// retry that arrives after ResultWindow further commands have applied
+	// on its shard re-executes. Sequenced reads count toward that total.
 	ResultWindow int
 	// DataDir, when set, makes every hosted shard durable: each replica
 	// journals its deliveries to a write-ahead log under

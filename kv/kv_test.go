@@ -165,7 +165,10 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 
 	cl := stores[0].NewClient()
 	ids := []uint64{cl.nextID(), cl.nextID()}
-	cmds := [][]byte{encodePut(ids[0], "k", []byte("first")), encodePut(ids[1], "k", []byte("second"))}
+	cmds := [][]byte{
+		encodeCommand(&Request{Op: ReqPut, ID: ids[0], Key: "k", Val: []byte("first")}),
+		encodeCommand(&Request{Op: ReqPut, ID: ids[1], Key: "k", Val: []byte("second")}),
+	}
 	if _, err := stores[0].do(ctx, 0, ids, cmds...); err != nil {
 		t.Fatalf("do: %v", err)
 	}

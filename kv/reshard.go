@@ -243,14 +243,14 @@ func (s *Store) migrate(ctx context.Context, shard int, cmd []byte) error {
 	if err != nil {
 		return err
 	}
-	res, err := s.do(ctx, shard, []uint64{c.id}, cmd)
+	res, err := s.do(ctx, shard, []uint64{c.ID}, cmd)
 	if err != nil {
 		if errors.Is(err, errMoved) {
 			return nil
 		}
 		return err
 	}
-	if !res.OK && c.op == opMigrateBegin {
+	if !res.OK && c.Op == opMigrateBegin {
 		return fmt.Errorf("kv: shard %d rejected migrate-begin for epoch %d (conflicting handoff in progress?)", shard, c.routing.Epoch)
 	}
 	return nil

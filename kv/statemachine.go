@@ -14,7 +14,9 @@ import (
 // defaultResultWindow bounds the replicated result table. A result is
 // evicted after this many further commands apply, so a client has that much
 // slack between its command applying locally and its Wait observing the
-// result — far more than any realistic scheduling delay.
+// result — far more than any realistic scheduling delay. It is also the
+// exactly-once horizon: a retry that arrives after this many further
+// commands on its shard (sequenced reads included) re-executes.
 const defaultResultWindow = 65536
 
 // result is the replicated outcome of one command, keyed by command id. It
@@ -70,7 +72,7 @@ const txnTombstoneWindow = 8192
 // txnPortion is one shard's slice of a cross-shard transaction: the local
 // reads (with the values captured when the prepare sequenced), writes held
 // back until the decision, and conditions. It is replicated state — created
-// by opTxnPrepare, resolved by opTxnResolve, carried in snapshots and
+// by ReqTxnPrepare, resolved by ReqTxnResolve, carried in snapshots and
 // migrated with its keys during resharding. After resolution the portion
 // stays as a tombstone (writes and conds trimmed) so re-driven prepares and
 // resolves re-answer the decision instead of re-executing.
@@ -378,57 +380,57 @@ func (s *mapSM) Apply(cmd []byte) {
 	if err != nil {
 		return
 	}
-	if prev, done := s.results[c.id]; done && !prev.Moved {
-		s.tracer.Addf(c.id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
+	if prev, done := s.results[c.ID]; done && !prev.Moved {
+		s.tracer.Addf(c.ID, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
 		return
 	}
-	s.tracer.Addf(c.id, "applied@seq %d op=%d shard=%d", s.seq, c.op, s.shard)
-	switch c.op {
-	case opPut:
-		if !s.serves(c.key) || s.locked(c.key) {
-			s.setResult(c.id, result{Moved: true})
+	s.tracer.Addf(c.ID, "applied@seq %d op=%d shard=%d", s.seq, c.Op, s.shard)
+	switch c.Op {
+	case ReqPut:
+		if !s.serves(c.Key) || s.locked(c.Key) {
+			s.setResult(c.ID, result{Moved: true})
 			return
 		}
-		s.items[c.key] = c.val
-		s.setResult(c.id, result{OK: true, Key: c.key})
-	case opDelete:
-		if !s.serves(c.key) || s.locked(c.key) {
-			s.setResult(c.id, result{Moved: true})
+		s.items[c.Key] = c.Val
+		s.setResult(c.ID, result{OK: true, Key: c.Key})
+	case ReqDelete:
+		if !s.serves(c.Key) || s.locked(c.Key) {
+			s.setResult(c.ID, result{Moved: true})
 			return
 		}
-		_, existed := s.items[c.key]
-		delete(s.items, c.key)
-		s.setResult(c.id, result{OK: existed, Key: c.key})
-	case opCAS:
-		if !s.serves(c.key) || s.locked(c.key) {
-			s.setResult(c.id, result{Moved: true})
+		_, existed := s.items[c.Key]
+		delete(s.items, c.Key)
+		s.setResult(c.ID, result{OK: existed, Key: c.Key})
+	case ReqCAS:
+		if !s.serves(c.Key) || s.locked(c.Key) {
+			s.setResult(c.ID, result{Moved: true})
 			return
 		}
-		cur, present := s.items[c.key]
-		ok := present == c.expectPresent && (!present || string(cur) == string(c.expect))
+		cur, present := s.items[c.Key]
+		ok := present == c.ExpectPresent && (!present || string(cur) == string(c.Expect))
 		if ok {
-			s.items[c.key] = c.val
+			s.items[c.Key] = c.Val
 		}
-		s.setResult(c.id, result{OK: ok, Key: c.key})
-	case opGet:
-		for _, k := range c.keys {
+		s.setResult(c.ID, result{OK: ok, Key: c.Key})
+	case ReqGet:
+		for _, k := range c.Keys {
 			if !s.serves(k) || s.locked(k) {
-				s.setResult(c.id, result{Moved: true})
+				s.setResult(c.ID, result{Moved: true})
 				return
 			}
 		}
 		r := result{
 			OK:     true,
-			Values: make([][]byte, len(c.keys)),
-			Found:  make([]bool, len(c.keys)),
+			Values: make([][]byte, len(c.Keys)),
+			Found:  make([]bool, len(c.Keys)),
 		}
-		for i, k := range c.keys {
+		for i, k := range c.Keys {
 			if v, ok := s.items[k]; ok {
 				r.Values[i] = v
 				r.Found[i] = true
 			}
 		}
-		s.setResult(c.id, r)
+		s.setResult(c.ID, r)
 	case opMigrateBegin:
 		s.applyMigrateBegin(c)
 	case opMigrateCommit:
@@ -437,9 +439,9 @@ func (s *mapSM) Apply(cmd []byte) {
 		s.applyMigrateAbort(c)
 	case opMigrateImport:
 		s.applyMigrateImport(c)
-	case opTxnPrepare:
+	case ReqTxnPrepare:
 		s.applyTxnPrepare(c)
-	case opTxnResolve:
+	case ReqTxnResolve:
 		s.applyTxnResolve(c)
 	case opAudit:
 		s.applyAudit(c)
@@ -496,9 +498,9 @@ func (s *mapSM) txnPrepareResultFor(p *txnPortion, reads []string) result {
 // rather than demanding byte equality. A resolved portion answers its
 // decision — a late prepare must never relock after the outcome.
 func (s *mapSM) applyTxnPrepare(c command) {
-	p := s.txns[c.txnID]
+	p := s.txns[c.TxnID]
 	if p != nil && p.State != txnStatePrepared {
-		s.setResult(c.id, s.txnPrepareResultFor(p, c.keys))
+		s.setResult(c.ID, s.txnPrepareResultFor(p, c.Keys))
 		return
 	}
 	resident := make(map[string]bool)
@@ -515,48 +517,48 @@ func (s *mapSM) applyTxnPrepare(c command) {
 			fresh = append(fresh, k)
 		}
 	}
-	for _, k := range c.keys {
+	for _, k := range c.Keys {
 		addFresh(k)
 	}
-	for _, w := range c.writes {
+	for _, w := range c.Writes {
 		addFresh(w.Key)
 	}
-	for _, cc := range c.conds {
+	for _, cc := range c.Conds {
 		addFresh(cc.Key)
 	}
 	for _, k := range fresh {
 		if !s.serves(k) {
-			s.setResult(c.id, result{Moved: true})
+			s.setResult(c.ID, result{Moved: true})
 			return
 		}
 	}
 	for _, k := range fresh {
-		if owner, held := s.locks[k]; held && owner != c.txnID {
-			s.setResult(c.id, result{Conflict: true})
+		if owner, held := s.locks[k]; held && owner != c.TxnID {
+			s.setResult(c.ID, result{Conflict: true})
 			return
 		}
 	}
 	// Conditions for already-resident keys were checked when they first
 	// prepared and their values cannot have changed since (the lock blocks
 	// writes), so re-evaluating everything against items is equivalent.
-	for _, cc := range c.conds {
+	for _, cc := range c.Conds {
 		cur, present := s.items[cc.Key]
 		if present != cc.ExpectPresent || (present && !bytes.Equal(cur, cc.Expect)) {
-			s.setResult(c.id, result{CondFailed: true})
+			s.setResult(c.ID, result{CondFailed: true})
 			return
 		}
 	}
 	if p == nil {
-		p = &txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStatePrepared}
-		s.txns[c.txnID] = p
+		p = &txnPortion{TxnID: c.TxnID, HomeKey: c.HomeKey, AllKeys: c.AllKeys, State: txnStatePrepared}
+		s.txns[c.TxnID] = p
 		s.flight.Recordf(s.flightTag(), "txn %016x prepared: %d reads %d writes %d conds",
-			c.txnID, len(c.keys), len(c.writes), len(c.conds))
+			c.TxnID, len(c.Keys), len(c.Writes), len(c.Conds))
 	}
 	haveRead := make(map[string]bool, len(p.Reads))
 	for _, k := range p.Reads {
 		haveRead[k] = true
 	}
-	for _, k := range c.keys {
+	for _, k := range c.Keys {
 		if haveRead[k] {
 			continue
 		}
@@ -570,12 +572,12 @@ func (s *mapSM) applyTxnPrepare(c command) {
 		}
 		p.Found = append(p.Found, found)
 	}
-	p.mergeOps(&txnPortion{Writes: c.writes, Conds: c.conds})
+	p.mergeOps(&txnPortion{Writes: c.Writes, Conds: c.Conds})
 	for _, k := range fresh {
-		s.locks[k] = c.txnID
+		s.locks[k] = c.TxnID
 	}
-	s.touchLock(c.txnID)
-	s.setResult(c.id, s.txnPrepareResultFor(p, c.keys))
+	s.touchLock(c.TxnID)
+	s.setResult(c.ID, s.txnPrepareResultFor(p, c.Keys))
 }
 
 // resolvePortion applies the decision to a prepared portion: commit lands
@@ -619,17 +621,17 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 // and the decision chases it to the new owner, which is what guarantees a
 // reshard serializes entirely before or after the commit.
 func (s *mapSM) applyTxnResolve(c command) {
-	if p := s.txns[c.txnID]; p != nil {
+	if p := s.txns[c.TxnID]; p != nil {
 		if p.State == txnStatePrepared {
 			for _, k := range p.localKeys() {
 				if !s.serves(k) {
-					s.setResult(c.id, result{Moved: true})
+					s.setResult(c.ID, result{Moved: true})
 					return
 				}
 			}
-			s.resolvePortion(p, c.txnCommit)
+			s.resolvePortion(p, c.Commit)
 		}
-		s.setResult(c.id, result{OK: p.State == txnStateCommitted, TxnState: p.State})
+		s.setResult(c.ID, result{OK: p.State == txnStateCommitted, TxnState: p.State})
 		return
 	}
 	// No portion: this shard never saw the prepare, or already evicted the
@@ -637,31 +639,31 @@ func (s *mapSM) applyTxnResolve(c command) {
 	// otherwise the decision belongs elsewhere (stale routing) and the
 	// caller re-resolves.
 	owned := s.curRing == nil
-	for _, k := range c.allKeys {
+	for _, k := range c.AllKeys {
 		if owned {
 			break
 		}
 		owned = s.curRing.shard(k) == s.shard
 	}
 	if !owned {
-		s.setResult(c.id, result{Moved: true})
+		s.setResult(c.ID, result{Moved: true})
 		return
 	}
-	if c.txnCommit {
+	if c.Commit {
 		// Presumed resolved: a commit decision exists only if the prepare
 		// phase finished everywhere, so re-answering success is safe even
 		// past the tombstone horizon.
-		s.setResult(c.id, result{OK: true, TxnState: txnStateCommitted})
+		s.setResult(c.ID, result{OK: true, TxnState: txnStateCommitted})
 		return
 	}
 	// Abort with no portion: plant a fence so a straggling prepare re-drive
 	// cannot lock keys after the decision (presumed abort).
-	f := &txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStateAborted}
-	s.txns[c.txnID] = f
-	s.txnOrder = append(s.txnOrder, c.txnID)
+	f := &txnPortion{TxnID: c.TxnID, HomeKey: c.HomeKey, AllKeys: c.AllKeys, State: txnStateAborted}
+	s.txns[c.TxnID] = f
+	s.txnOrder = append(s.txnOrder, c.TxnID)
 	s.evictTxns()
-	s.flight.Recordf(s.flightTag(), "txn %016x fenced aborted", c.txnID)
-	s.setResult(c.id, result{TxnState: txnStateAborted})
+	s.flight.Recordf(s.flightTag(), "txn %016x fenced aborted", c.TxnID)
+	s.setResult(c.ID, result{TxnState: txnStateAborted})
 }
 
 // evictTxns trims resolved portions past the tombstone window.
@@ -696,7 +698,7 @@ func (s *mapSM) applyMigrateBegin(c command) {
 			s.routing.Epoch, rt.Epoch, s.routing.Shards, rt.Shards)
 		s.notifyRouting()
 	}
-	s.setResult(c.id, result{OK: ok})
+	s.setResult(c.ID, result{OK: ok})
 }
 
 // flightTag labels this shard's flight-recorder events.
@@ -710,7 +712,7 @@ func (s *mapSM) flightTag() string {
 // shard serves exactly the ranges the new table assigns it.
 func (s *mapSM) applyMigrateCommit(c command) {
 	if c.routing.Epoch <= s.routing.Epoch {
-		s.setResult(c.id, result{OK: true}) // duplicate commit
+		s.setResult(c.ID, result{OK: true}) // duplicate commit
 		return
 	}
 	s.routing = c.routing
@@ -765,7 +767,7 @@ func (s *mapSM) applyMigrateCommit(c command) {
 	}
 	s.flight.Recordf(s.flightTag(), "migrate commit: epoch %d, %d moved keys dropped, %d kept",
 		c.routing.Epoch, dropped, len(s.items))
-	s.setResult(c.id, result{OK: true})
+	s.setResult(c.ID, result{OK: true})
 	s.notifyRouting()
 }
 
@@ -782,7 +784,7 @@ func (s *mapSM) applyMigrateAbort(c command) {
 			c.routing.Epoch, s.routing.Epoch)
 		s.notifyRouting()
 	}
-	s.setResult(c.id, result{OK: ok})
+	s.setResult(c.ID, result{OK: ok})
 }
 
 // applyMigrateImport installs a chunk of keys (and the dedup results that
@@ -793,19 +795,19 @@ func (s *mapSM) applyMigrateAbort(c command) {
 // source's frozen value.
 func (s *mapSM) applyMigrateImport(c command) {
 	if s.routing.Epoch >= c.routing.Epoch {
-		s.setResult(c.id, result{Moved: true}) // late chunk: already flipped
+		s.setResult(c.ID, result{Moved: true}) // late chunk: already flipped
 		return
 	}
-	for _, p := range c.pairs {
+	for _, p := range c.chunk.Pairs {
 		s.items[p.Key] = p.Val
 	}
-	for _, r := range c.impResults {
+	for _, r := range c.chunk.Results {
 		s.setResult(r.ID, result{OK: r.OK, Key: r.Key})
 	}
-	for _, t := range c.txns {
+	for _, t := range c.chunk.Txns {
 		s.importPortion(t)
 	}
-	s.setResult(c.id, result{OK: true})
+	s.setResult(c.ID, result{OK: true})
 }
 
 // importPortion merges one migrated transaction sub-portion into this
