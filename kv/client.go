@@ -204,9 +204,6 @@ type DialOptions struct {
 	// misroutes with a ForwardRequest and attaches its routing table, so
 	// the client converges after one hop.
 	Shards int
-	// VirtualNodes matches Options.VirtualNodes (default 64). Meaningful
-	// only with Shards.
-	VirtualNodes int
 	// Obs wires the client into an observability hub: access-path latency
 	// histograms, op counters, and trace spans for sampled command ids.
 	// Nil (the default) is the no-op sink.
@@ -237,11 +234,7 @@ func Dial(k *amoeba.Kernel, cluster string, o DialOptions) (*Client, error) {
 		}
 	}
 	if o.Shards > 0 {
-		vn := o.VirtualNodes
-		if vn <= 0 {
-			vn = defaultVirtualNodes
-		}
-		c.rt = Routing{Epoch: 0, Shards: o.Shards, VNodes: vn}
+		c.rt = Routing{Epoch: 0, Shards: o.Shards, VNodes: defaultVirtualNodes}
 		c.cring = c.rt.ring(cluster)
 	}
 	c.wireObs(o.Obs)

@@ -644,9 +644,14 @@ func (r *reader) keys() []string {
 	return keys
 }
 
-// routing reads a routing table: 1..2^20 shards, at most 2^20 vnodes.
+// routing reads a routing table: at least one shard, and a ring of at most
+// maxRingPoints points.
 func (r *reader) routing() Routing {
-	return Routing{Epoch: r.uvarint(), Shards: int(r.within(1, 1<<20)), VNodes: int(r.within(0, 1<<20))}
+	rt := Routing{Epoch: r.uvarint(), Shards: int(r.within(1, maxRingPoints)), VNodes: int(r.within(0, maxRingPoints))}
+	if !rt.ringFits() {
+		r.fail()
+	}
+	return rt
 }
 
 // readOp reads q.Op's payload — the inverse of appendOp — and reports

@@ -30,10 +30,14 @@
 // # Consistency
 //
 // Writes (Put, Delete, CAS) are sequenced through the owning shard's total
-// order. Reads come in two strengths: Client.Get/MGet inject a read marker
-// into the same total order and report the value at the marker's position —
-// linearizable, at the cost of a group send; Client.LocalGet reads the local
-// replica directly — no network traffic, but it may trail the total order.
+// order. Reads take one of four paths. A sequenced Get (Client.Get/MGet)
+// injects a read marker into the same total order and reports the value at
+// the marker's position: linearizable, at the cost of a group send. With
+// Options.Leases, a replica holding a sequencer-granted read lease serves
+// that Get from local state, still linearizable, with no group send.
+// Client.StaleGet is served locally by any replica that can prove it trails
+// the total order by at most maxStale. Client.LocalGet reads this node's
+// replica directly: no network traffic, and no bound on how far it trails.
 package kv
 
 import (
@@ -78,8 +82,6 @@ type Options struct {
 	// fills it in; Join with bounded replication requires it (a
 	// replacement node takes the slot of the node it replaces).
 	NodeIndex int
-	// VirtualNodes is the consistent-hash points per shard (default 64).
-	VirtualNodes int
 	// ResultWindow bounds the per-shard replicated result table
 	// (default 65536 commands), and with it the exactly-once horizon: a
 	// retry that arrives after ResultWindow further commands have applied
@@ -144,9 +146,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = defaultVirtualNodes
 	}
 	if o.ResultWindow <= 0 {
 		o.ResultWindow = defaultResultWindow
@@ -260,7 +259,7 @@ type Store struct {
 
 func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 	ctx, cancel := context.WithCancel(context.Background())
-	rt := Routing{Epoch: 0, Shards: opts.Shards, VNodes: opts.VirtualNodes}
+	rt := Routing{Epoch: 0, Shards: opts.Shards, VNodes: defaultVirtualNodes}
 	s := &Store{
 		name:         name,
 		opts:         opts,
@@ -801,26 +800,16 @@ func bootstrapDurable(ctx context.Context, kernels []*amoeba.Kernel, name string
 	return stores, nil
 }
 
-// Open (re)starts one durable node of a store: every hosted shard is
-// recovered from its write-ahead log and then rejoins its group — or, when
-// the whole group is gone (a full-cluster restart), takes part in reforming
-// it from the surviving logs. Options.DataDir, Nodes, and NodeIndex are
-// required; use it when each node runs in its own process, or to re-admit a
-// single restarted node (Bootstrap restarts whole single-process clusters).
-func Open(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*Store, error) {
-	if opts.DataDir == "" {
-		return nil, fmt.Errorf("kv: opening %q requires Options.DataDir (use Join for in-memory stores)", name)
-	}
-	return Join(ctx, k, name, opts)
-}
-
 // Join adds a node to a running store: every shard group the node's
 // placement slot hosts is joined with atomic state transfer, so when Join
 // returns the node holds up-to-date replicas and serves reads and writes
 // like any bootstrap node. With full replication (the default) that is every
 // shard; with bounded replication, set Options.Nodes and Options.NodeIndex
 // to the slot being (re)filled. Use it to grow a store or to re-admit a
-// crashed node.
+// crashed node. With Options.DataDir (and Nodes and NodeIndex) set, each
+// hosted shard is first recovered from its write-ahead log, so Join also
+// restarts a durable node; when the whole group is gone it helps reform it
+// from the surviving logs. Bootstrap restarts whole single-process clusters.
 func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Replication > 0 && opts.Nodes <= 0 {

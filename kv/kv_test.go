@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"amoeba"
+	"amoeba/obs"
 	"amoeba/shared"
 )
 
@@ -382,12 +383,14 @@ func TestCrashRejoinUnderLoad(t *testing.T) {
 	ctx := ctxT(t, 90*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
+	hub := obs.NewHub(obs.Options{Node: "scenario-test"})
 	opts := Options{
 		Shards: 4,
 		Group: amoeba.GroupOptions{
 			Resilience:   1,
 			AutoReset:    true,
 			MinSurvivors: 2,
+			Obs:          hub,
 		},
 	}
 	stores := newCluster(t, ctx, net, "scenario", 3, opts)
@@ -459,8 +462,11 @@ func TestCrashRejoinUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replacement kernel: %v", err)
 	}
+	// It takes node 2's slot, so the auditor tells its digests from node 0's.
+	rejoin := opts
+	rejoin.NodeIndex = 2
 	joinCtx, cancelJoin := context.WithTimeout(ctx, 30*time.Second)
-	replacement, err := Join(joinCtx, k, "scenario", opts)
+	replacement, err := Join(joinCtx, k, "scenario", rejoin)
 	cancelJoin()
 	if err != nil {
 		t.Fatalf("replacement never joined: %v", err)
@@ -523,6 +529,21 @@ func TestCrashRejoinUnderLoad(t *testing.T) {
 				}
 			}
 		}
+	}
+	// The items agree, and so does the rest of the replicated state — the
+	// dedup result window above all: a sequenced audit digests all of it.
+	// Each node's AuditNow returns once its replica applied its own audit,
+	// so after the last one every replica has reported node 0's.
+	for _, s := range nodes {
+		if err := s.AuditNow(ctx); err != nil {
+			t.Fatalf("AuditNow: %v", err)
+		}
+	}
+	if divs := hub.Health().Divergences(); len(divs) > 0 {
+		t.Fatalf("replicas diverged after the rejoin: %v", divs[0])
+	}
+	if v := hub.Health().Rollup("kv/scenario/"); v != obs.VerdictOK {
+		t.Fatalf("audit verdict %q after the rejoin, want ok:\n%s", v, hub.Health().Format("kv/scenario/"))
 	}
 	// Every acknowledged write survived the crash, the recovery, and the
 	// rejoin — on every node, including the replacement (resilience 1:

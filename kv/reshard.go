@@ -45,6 +45,10 @@ const maxImportChunk = 32 << 10
 // already in progress (resume it by asking for the pending shard count).
 var ErrReshardPending = errors.New("kv: a resharding is already in progress")
 
+// errRingTooLarge reports a Resharding target whose ring would exceed
+// maxRingPoints — a table every replica's decoder would refuse.
+var errRingTooLarge = errors.New("kv: routing table exceeds the ring-point bound")
+
 // Resharding changes the live store to newShards shard groups: a split
 // (N→N+k) creates the new groups across the nodes and streams the key
 // ranges they take over out of every old shard; a merge (N→N−k) streams the
@@ -58,7 +62,9 @@ var ErrReshardPending = errors.New("kv: a resharding is already in progress")
 // Any node of the store can coordinate. If a previous handoff was
 // interrupted (coordinator crash), calling Resharding with the pending
 // shard count resumes it; any other count fails with ErrReshardPending.
-// Live resharding requires full replication (Options.Replication 0).
+// Live resharding requires full replication (Options.Replication 0), and
+// the new table's ring (newShards × its vnodes per shard) may hold at most
+// 2^20 points.
 func (s *Store) Resharding(ctx context.Context, newShards int) error {
 	if newShards <= 0 {
 		return fmt.Errorf("kv: resharding to %d shards", newShards)
@@ -81,6 +87,9 @@ func (s *Store) Resharding(ctx context.Context, newShards int) error {
 		return nil
 	}
 	target := Routing{Epoch: cur.Epoch + 1, Shards: newShards, VNodes: cur.VNodes}
+	if !target.ringFits() {
+		return fmt.Errorf("%w: %d shards × %d vnodes", errRingTooLarge, target.Shards, target.VNodes)
+	}
 	return s.reshardTo(ctx, target)
 }
 

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -206,6 +207,16 @@ func TestReshardingMergeRetiresShards(t *testing.T) {
 	// Give every shard an audit scope, as a periodic driver would.
 	if err := stores[0].AuditNow(ctx); err != nil {
 		t.Fatalf("AuditNow: %v", err)
+	}
+
+	// A target whose ring would exceed the bound every decoder enforces is
+	// refused by name before any migrate command is sequenced.
+	tooMany := maxRingPoints/defaultVirtualNodes + 1
+	if err := stores[0].Resharding(ctx, tooMany); !errors.Is(err, errRingTooLarge) {
+		t.Fatalf("Resharding(%d) = %v, want errRingTooLarge", tooMany, err)
+	}
+	if n := stores[0].Shards(); n != 6 {
+		t.Fatalf("refused resharding left %d shards, want 6", n)
 	}
 
 	if err := stores[0].Resharding(ctx, 3); err != nil {

@@ -11,6 +11,12 @@ import (
 // counts this package targets.
 const defaultVirtualNodes = 64
 
+// maxRingPoints bounds the ring a routing table may ask for: Shards × VNodes
+// points, with VNodes 0 counting as defaultVirtualNodes. The decoder refuses
+// a larger table and Resharding will not propose one, so neither a response
+// nor a migrate command can make newRing allocate more.
+const maxRingPoints = 1 << 20
+
 // Routing is the store's epoch-versioned shard routing table: everything a
 // party needs to map keys onto shard groups, small enough to travel in every
 // request and response. It is a first-class replicated object — each shard's
@@ -30,6 +36,15 @@ type Routing struct {
 	Shards int
 	// VNodes is the consistent-hash points per shard.
 	VNodes int
+}
+
+// ringFits reports whether rt's ring stays within maxRingPoints.
+func (rt Routing) ringFits() bool {
+	vn := rt.VNodes
+	if vn <= 0 {
+		vn = defaultVirtualNodes
+	}
+	return rt.Shards <= maxRingPoints/vn
 }
 
 // ring materialises a Routing for key lookups.

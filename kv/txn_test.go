@@ -542,13 +542,15 @@ func TestTxnKillAllBetweenPartialCommits(t *testing.T) {
 	txnID := txnAttemptID(pinID, 0)
 	allKeys := append([]string(nil), keys...)
 	sort.Strings(allKeys)
+	writes := []TxnWrite{
+		{Key: from, Val: []byte("90")},
+		{Key: to, Val: []byte("110")},
+	}
+	conds := []TxnCond{{Key: from, ExpectPresent: true, Expect: []byte("100")}}
 	prep, err := cl.Do(ctx, &Request{
 		Op: ReqTxnPrepare, ID: pinID, TxnID: txnID,
 		HomeKey: allKeys[0], AllKeys: allKeys,
-		Writes: []TxnWrite{
-			{Key: from, Val: []byte("90")},
-			{Key: to, Val: []byte("110")},
-		},
+		Writes: writes, Conds: conds,
 	})
 	if err != nil || !prep.OK {
 		t.Fatalf("prepare = %+v %v", prep, err)
@@ -588,19 +590,14 @@ func TestTxnKillAllBetweenPartialCommits(t *testing.T) {
 
 	// Exactly-once across the dedup window: perturb one written key, then
 	// retry the coordinator request — it must re-answer the recorded commit
-	// without re-applying the writes.
+	// without re-applying the writes. Its condition no longer holds, so a
+	// re-evaluated retry would answer CondFailed instead.
 	if err := cl2.Put(ctx, from, []byte("77")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl2.Do(ctx, &Request{
-		Op: ReqTxn, ID: pinID,
-		Writes: []TxnWrite{
-			{Key: from, Val: []byte("90")},
-			{Key: to, Val: []byte("110")},
-		},
-	})
-	if err != nil || !resp.OK {
-		t.Fatalf("retried txn = %+v %v", resp, err)
+	resp, err := cl2.Do(ctx, &Request{Op: ReqTxn, ID: pinID, Writes: writes, Conds: conds})
+	if err != nil || !resp.OK || resp.CondFailed {
+		t.Fatalf("retried txn = %+v %v, want the recorded commit", resp, err)
 	}
 	if v, _, _ := cl2.Get(ctx, from); string(v) != "77" {
 		t.Fatalf("%s = %q: a retried committed txn re-applied its writes", from, v)

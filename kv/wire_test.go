@@ -85,7 +85,8 @@ func TestAccessWireGolden(t *testing.T) {
 		}
 	}
 	for _, r := range []*Response{{Routing: &Routing{Shards: 0}}, {Routing: &Routing{Shards: 1<<20 + 1}},
-		{Routing: &Routing{Shards: 1, VNodes: 1<<20 + 1}}, {Nodes: 1<<20 + 1}, {Replication: 1<<20 + 1}} {
+		{Routing: &Routing{Shards: 1, VNodes: 1<<20 + 1}}, {Routing: &Routing{Shards: 1 << 15, VNodes: 1 << 10}},
+		{Nodes: 1<<20 + 1}, {Replication: 1<<20 + 1}} {
 		if _, err := DecodeResponse(EncodeResponse(r)); err == nil {
 			t.Errorf("accepted out-of-bounds response %+v", r)
 		}
