@@ -160,7 +160,7 @@ func TestFIFOPerSenderUnderConcurrency(t *testing.T) {
 }
 
 func TestTotalOrderUnderLossDupsAndCorruption(t *testing.T) {
-	g := newGroup(t, 3, memnet.Config{DropRate: 0.15, DupRate: 0.1, CorruptRate: 0.05, Seed: 42}, nil)
+	g := newGroup(t, 3, memnet.Config{DropRate: 0.15, DuplicateRate: 0.1, CorruptRate: 0.05, Seed: 42}, nil)
 	const perSender = 15
 	done := make(chan error, 3*perSender)
 	for s := 0; s < 3; s++ {

@@ -80,7 +80,7 @@ func TestPipelinedSendsCoalesceAndStayFIFO(t *testing.T) {
 // units, and the guarantees must hold regardless.
 func TestPipelinedSendsUnderLoss(t *testing.T) {
 	const msgs = 40
-	g := newGroup(t, 3, memnet.Config{DropRate: 0.05, DupRate: 0.03, Seed: 42}, func(c *Config) {
+	g := newGroup(t, 3, memnet.Config{DropRate: 0.05, DuplicateRate: 0.03, Seed: 42}, func(c *Config) {
 		c.SendWindow = 3
 		c.MaxBatch = 6
 	})

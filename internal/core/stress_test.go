@@ -45,7 +45,7 @@ func TestBBDuplicateDataReannouncesAccept(t *testing.T) {
 	// Duplicate everything: the sequencer will see BB data for messages
 	// it already ordered and must re-announce the accept rather than
 	// re-order.
-	g := newGroup(t, 3, memnet.Config{DupRate: 0.9, Seed: 17}, func(c *Config) {
+	g := newGroup(t, 3, memnet.Config{DuplicateRate: 0.9, Seed: 17}, func(c *Config) {
 		c.Method = MethodBB
 	})
 	const msgs = 10
@@ -210,7 +210,7 @@ func TestTotalOrderPropertyUnderRandomFaults(t *testing.T) {
 		drop := float64(dropPct%25) / 100 // 0–24%
 		dup := float64(dupPct%20) / 100   // 0–19%
 		g := newGroup(t, 3, memnet.Config{
-			DropRate: drop, DupRate: dup, Seed: seed,
+			DropRate: drop, DuplicateRate: dup, Seed: seed,
 		}, nil)
 		const perSender = 6
 		var wg sync.WaitGroup

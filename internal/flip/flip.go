@@ -130,6 +130,7 @@ type locateState struct {
 	srcs     []Address
 	attempts int
 	timer    sim.Timer
+	flushing bool // a Here arrived and handleHere is sending the queue
 }
 
 type reasmKey struct {
@@ -278,8 +279,11 @@ func (st *Stack) Send(src, dst Address, payload []byte) error {
 		st.loopback(src, dst, payload, msgID)
 		return nil
 	}
+	// A datagram to an address still being located queues behind the ones
+	// that started the locate, even if a route was learned meanwhile, so it
+	// cannot overtake them.
 	node, ok := st.routes[dst]
-	if !ok {
+	if !ok || st.pending[dst] != nil {
 		st.queueForLocate(src, dst, payload)
 		st.mu.Unlock()
 		return nil
@@ -422,7 +426,7 @@ func (st *Stack) locateRetry(dst Address) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	ls := st.pending[dst]
-	if ls == nil || st.closed {
+	if ls == nil || ls.flushing || st.closed {
 		return
 	}
 	if ls.attempts >= st.cfg.LocateAttempts {
@@ -468,28 +472,38 @@ func (st *Stack) handleLocate(h header, from netw.NodeID) {
 	_ = st.station.Send(from, reply)
 }
 
+// handleHere flushes the datagrams queued behind a locate and only then
+// publishes the route. Until it does, Send keeps queueing behind the pending
+// locate, so a Send racing the flush cannot overtake the queue.
 func (st *Stack) handleHere(h header, from netw.NodeID) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	if ls := st.pending[h.src]; ls != nil {
+		if ls.flushing {
+			return // a duplicate Here: the first one is draining the queue
+		}
+		ls.flushing = true
+		if ls.timer != nil {
+			ls.timer.Stop()
+		}
+		for len(ls.queued) > 0 {
+			queued, srcs := ls.queued, ls.srcs
+			ls.queued, ls.srcs = nil, nil
+			msgID := st.nextMsgID
+			st.nextMsgID += uint32(len(queued))
+			st.mu.Unlock()
+			for i, payload := range queued {
+				st.sendFragments(srcs[i], h.src, payload, msgID+uint32(i), func(pkt []byte) error {
+					return st.station.Send(from, pkt)
+				})
+			}
+			st.mu.Lock()
+		}
+		if st.pending[h.src] == ls {
+			delete(st.pending, h.src)
+		}
+	}
 	st.routes[h.src] = from
-	ls := st.pending[h.src]
-	delete(st.pending, h.src)
-	if ls != nil && ls.timer != nil {
-		ls.timer.Stop()
-	}
-	st.mu.Unlock()
-	if ls == nil {
-		return
-	}
-	for i, payload := range ls.queued {
-		src := ls.srcs[i]
-		st.mu.Lock()
-		msgID := st.nextMsgID
-		st.nextMsgID++
-		st.mu.Unlock()
-		st.sendFragments(src, h.src, payload, msgID, func(pkt []byte) error {
-			return st.station.Send(from, pkt)
-		})
-	}
 }
 
 func (st *Stack) handleData(h header, payload []byte, from netw.NodeID) {

@@ -255,6 +255,33 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLocateQueueKeepsOrder sends a burst to an address nobody has located
+// yet: the first datagrams queue behind the locate, and a Send that races
+// the Here reply must queue behind them instead of overtaking them, or the
+// per-receiver FIFO order that memnet gives breaks. Fresh rigs, because the
+// race exists only while the first locate is in flight.
+func TestLocateQueueKeepsOrder(t *testing.T) {
+	const msgs = 64
+	for round := 0; round < 20; round++ {
+		r := newRig(t, 2, memnet.Config{})
+		a, b := r.stacks[0], r.stacks[1]
+		addrA, addrB := a.AllocAddress(), b.AllocAddress()
+		in := newInbox()
+		a.Register(addrA, func(Message) {})
+		b.Register(addrB, in.handler())
+		for i := 0; i < msgs; i++ {
+			if err := a.Send(addrA, addrB, []byte{byte(i)}); err != nil {
+				t.Fatalf("Send(%d): %v", i, err)
+			}
+		}
+		for i, m := range in.wait(t, msgs) {
+			if int(m.Payload[0]) != i {
+				t.Fatalf("round %d: message %d arrived carrying %d", round, i, m.Payload[0])
+			}
+		}
+	}
+}
+
 func TestOversizeMessageRejected(t *testing.T) {
 	r := newRig(t, 1, memnet.Config{})
 	a := r.stacks[0]
@@ -448,7 +475,7 @@ func newRigWithTimeout(t *testing.T, cfg memnet.Config, reasm time.Duration) *ri
 }
 
 func TestDuplicateFragmentsIgnored(t *testing.T) {
-	r := newRig(t, 2, memnet.Config{DupRate: 1.0, Seed: 5})
+	r := newRig(t, 2, memnet.Config{DuplicateRate: 1.0, Seed: 5})
 	a, b := r.stacks[0], r.stacks[1]
 	addrA, addrB := a.AllocAddress(), b.AllocAddress()
 	in := newInbox()

@@ -93,8 +93,8 @@ func TestCommandCodecRoundTrip(t *testing.T) {
 
 // TestRetryBeyondResultWindow pins the exactly-once horizon. A retry is
 // deduplicated only while its first execution's result is in the shard's
-// result window; once ResultWindow further commands (sequenced reads
-// included) have applied, the retry executes again — here a create-CAS
+// result window; once a window's worth of further commands (sequenced
+// reads included) have applied, the retry executes again — here a create-CAS
 // that then finds its own write and fails.
 func TestRetryBeyondResultWindow(t *testing.T) {
 	sm := newMapSM("horizon", 0, Routing{}, 4, nil)

@@ -137,13 +137,6 @@ func (h *History) Events() []HistoryEvent {
 	return out
 }
 
-// Len reports the number of recorded events.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.evs)
-}
-
 // RecordingClient wraps a Client so every operation lands in a shared
 // History with its invocation window. One RecordingClient models one
 // sequential caller: use several (each with its own id) for a concurrent

@@ -20,7 +20,11 @@
 // grows with the node count — the deployment shape behind the sharded
 // benchmark. Nodes are created together with Bootstrap (which places shard
 // i's sequencer on node i mod nodes) or added later with Join (which
-// state-transfers every hosted shard).
+// state-transfers every hosted shard). Both open shards the same way. A
+// fresh boot opens every shard's creator first and then all joiners at once;
+// a durable restart opens every shard on every node at once, so each
+// shard's cold-start election sees every surviving log. A boot that fails
+// leaves what it joined, through Store.Leave.
 //
 // The shard count is NOT frozen at Bootstrap: Store.Resharding splits or
 // merges a live store's shard groups under load, coordinating the handoff
@@ -82,11 +86,6 @@ type Options struct {
 	// fills it in; Join with bounded replication requires it (a
 	// replacement node takes the slot of the node it replaces).
 	NodeIndex int
-	// ResultWindow bounds the per-shard replicated result table
-	// (default 65536 commands), and with it the exactly-once horizon: a
-	// retry that arrives after ResultWindow further commands have applied
-	// on its shard re-executes. Sequenced reads count toward that total.
-	ResultWindow int
 	// DataDir, when set, makes every hosted shard durable: each replica
 	// journals its deliveries to a write-ahead log under
 	// DataDir/<store>/node-<n>/shard-<i> and checkpoints snapshots, so a
@@ -146,9 +145,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
-	}
-	if o.ResultWindow <= 0 {
-		o.ResultWindow = defaultResultWindow
 	}
 	if o.TxnRecoveryAfter <= 0 {
 		o.TxnRecoveryAfter = 3 * time.Second
@@ -257,7 +253,7 @@ type Store struct {
 	healWG     sync.WaitGroup
 }
 
-func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
+func newStore(name string, k *amoeba.Kernel, opts Options, shards int) *Store {
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := Routing{Epoch: 0, Shards: opts.Shards, VNodes: defaultVirtualNodes}
 	s := &Store{
@@ -269,7 +265,7 @@ func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 		shardPending: make(map[int]Routing),
 		routeWake:    make(chan struct{}),
 		idNonce:      clientNonce(),
-		shards:       make([]*shared.Replica, opts.Shards),
+		shards:       make([]*shared.Replica, shards),
 		ensureCh:     make(chan struct{}, 1),
 		healCtx:      ctx,
 		healCancel:   cancel,
@@ -288,7 +284,7 @@ func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 // newShardSM builds shard i's state machine, wired to report routing changes
 // back to this store.
 func (s *Store) newShardSM(shard int) *mapSM {
-	sm := newMapSM(s.name, shard, s.Routing(), s.opts.ResultWindow, s.noteRouting)
+	sm := newMapSM(s.name, shard, s.Routing(), defaultResultWindow, s.noteRouting)
 	if hub := s.opts.Group.Obs; hub != nil {
 		sm.tracer = hub.Tracer()
 		sm.flight = hub.Flight()
@@ -617,7 +613,9 @@ func (s *Store) retireShard(i int, r *shared.Replica, epoch uint64) {
 // per kernel) and returns a Store handle per node, in kernel order. Shard
 // i's group is created by node i mod len(kernels) — spreading the
 // sequencers, so with as many nodes as shards every node sequences exactly
-// one shard — and joined by every other node.
+// one shard — and joined by every other node that hosts it. A fresh boot
+// opens every shard's creator first and then all joiners at once, so no
+// joiner races its creator.
 //
 // With Options.DataDir set the store is durable, and Bootstrap doubles as
 // the restart path: when the store's directory already exists, every node
@@ -625,79 +623,83 @@ func (s *Store) retireShard(i int, r *shared.Replica, epoch uint64) {
 // Resharding added — the shard count is discovered from the logs, not taken
 // from Options) and the shards' groups are reformed from the longest
 // surviving log each (see shared.Open) — so re-running Bootstrap after
-// killing every node brings the store back with all data intact. A handoff
-// the crash interrupted is resumed (or, if it had already committed
-// anywhere, completed) before Bootstrap returns; see Store.Resharding.
+// killing every node brings the store back with all data intact. A restart
+// opens every shard on every node at once, because each shard's cold-start
+// election must see every surviving log. A handoff the crash interrupted is
+// resumed (or, if it had already committed anywhere, completed) before
+// Bootstrap returns; see Store.Resharding.
 //
-// Group creation is not atomic (paper §5); Bootstrap assumes no concurrent
-// store of the same name is being created on the same network.
+// A boot that fails unwinds through Store.Leave on every node, so it plants
+// no dead members. Group creation is not atomic (paper §5); Bootstrap
+// assumes no concurrent store of the same name is being created on the same
+// network.
 func Bootstrap(ctx context.Context, kernels []*amoeba.Kernel, name string, opts Options) ([]*Store, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("kv: bootstrap of %q needs at least one kernel", name)
 	}
 	opts = opts.withDefaults()
 	opts.Nodes = len(kernels)
-	if opts.DataDir != "" {
-		return bootstrapDurable(ctx, kernels, name, opts)
+	fresh := !onDisk(opts.DataDir, name)
+	shardCount := 0
+	for n := range kernels {
+		shardCount = max(shardCount, discoverShardCount(opts, name, n))
 	}
 	stores := make([]*Store, len(kernels))
 	for n := range kernels {
 		o := opts
 		o.NodeIndex = n
-		stores[n] = newStore(name, kernels[n], o)
+		stores[n] = newStore(name, kernels[n], o, shardCount)
 	}
-	fail := func(err error) ([]*Store, error) {
-		for _, s := range stores {
-			s.abandon()
-		}
-		return nil, err
+	// Creators first on a fresh boot, so no joiner races its creator;
+	// everything at once on a restart, for the cold-start elections.
+	creator := func(n, i int) bool { return i%len(kernels) == n }
+	phases := []func(n, i int) bool{creator, func(n, i int) bool { return !creator(n, i) }}
+	if !fresh {
+		phases = []func(n, i int) bool{func(int, int) bool { return true }}
 	}
-	for i := 0; i < opts.Shards; i++ {
-		creator := i % len(kernels)
-		group := shardGroupName(name, i)
-		r, err := shared.Create(ctx, kernels[creator], group, stores[creator].newShardSM(i), opts.Group)
-		if err != nil {
-			return fail(fmt.Errorf("kv: creating %s: %w", group, err))
-		}
-		stores[creator].shards[i] = r
-		// The remaining hosting nodes join concurrently; each join is a
-		// group membership change plus a (tiny, empty-state) transfer.
-		var wg sync.WaitGroup
-		errs := make([]error, len(kernels))
-		for n := range kernels {
-			if n == creator || !hostsShard(i, n, len(kernels), opts.Replication) {
-				continue
-			}
-			n := n
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := stores[n].joinShard(ctx, i)
-				if err != nil {
-					errs[n] = fmt.Errorf("kv: node %d joining %s: %w", n, group, err)
-					return
-				}
-				stores[n].shards[i] = rep
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fail(err)
-			}
+	for _, pick := range phases {
+		if err := openShards(ctx, stores, fresh, pick); err != nil {
+			leaveAll(stores)
+			return nil, err
 		}
 	}
 	for _, s := range stores {
 		s.startSelfHeal()
 	}
+	if fresh {
+		return stores, nil
+	}
+	// A crash mid-handoff leaves pending routing in the recovered state;
+	// finish the migration deterministically before handing the store out.
+	if err := stores[0].resumeResharding(ctx); err != nil {
+		leaveAll(stores)
+		return nil, fmt.Errorf("kv: resuming interrupted resharding of %q: %w", name, err)
+	}
+	// Likewise for transactions a kill-all interrupted between prepare and
+	// commit: the coordinators are certainly gone, so arbitrate every
+	// in-doubt prepare now instead of waiting out the janitor.
+	stores[0].recoverInDoubt(ctx, 0)
 	return stores, nil
+}
+
+// onDisk reports whether a durable store's directory already exists, which
+// makes Bootstrap a restart from the logs rather than a fresh boot.
+func onDisk(dataDir, store string) bool {
+	if dataDir == "" {
+		return false
+	}
+	_, err := os.Stat(filepath.Join(dataDir, store))
+	return !os.IsNotExist(err)
 }
 
 // discoverShardCount inspects one node's data directory for shard logs a
 // past Resharding may have added beyond the configured bootstrap count.
-func discoverShardCount(dataDir, store string, node, configured int) int {
-	n := configured
-	entries, err := os.ReadDir(filepath.Join(dataDir, store, fmt.Sprintf("node-%d", node)))
+func discoverShardCount(opts Options, store string, node int) int {
+	n := opts.Shards
+	if opts.DataDir == "" {
+		return n
+	}
+	entries, err := os.ReadDir(filepath.Join(opts.DataDir, store, fmt.Sprintf("node-%d", node)))
 	if err != nil {
 		return n
 	}
@@ -713,91 +715,42 @@ func discoverShardCount(dataDir, store string, node, configured int) int {
 	return n
 }
 
-// bootstrapDurable boots (or restarts) a durable store: every node opens
-// its hosted shards through the write-ahead-log path concurrently. A store
-// directory that does not exist yet marks a genuine first boot, letting each
-// shard's preferred creator skip the survivor probe; an existing directory
-// is a restart, and every shard runs the full recover-join-or-elect path.
-func bootstrapDurable(ctx context.Context, kernels []*amoeba.Kernel, name string, opts Options) ([]*Store, error) {
-	_, err := os.Stat(filepath.Join(opts.DataDir, name))
-	fresh := os.IsNotExist(err)
-	shardCount := opts.Shards
-	if !fresh {
-		for n := range kernels {
-			shardCount = discoverShardCount(opts.DataDir, name, n, shardCount)
-		}
-	}
-	stores := make([]*Store, len(kernels))
-	for n := range kernels {
-		o := opts
-		o.NodeIndex = n
-		stores[n] = newStore(name, kernels[n], o)
-		stores[n].mu.Lock()
-		for len(stores[n].shards) < shardCount {
-			stores[n].shards = append(stores[n].shards, nil)
-		}
-		stores[n].mu.Unlock()
-	}
-	// One shard failing must cancel its siblings: a joiner whose creator
-	// never came up retries until its context ends, so without this a
-	// single bad data directory would hang the whole boot.
-	openCtx, cancel := context.WithCancel(ctx)
+// openShards opens, concurrently, every shard that pick(node, shard)
+// selects among those each store's placement slot hosts. The stores must
+// have equal shard slices. The first failure cancels the other opens: a
+// joiner whose creator never came up retries until its context ends, so
+// one bad shard would otherwise hang the whole boot.
+func openShards(ctx context.Context, stores []*Store, fresh bool, pick func(node, shard int) bool) error {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for n := range kernels {
-		for i := 0; i < shardCount; i++ {
-			if !hostsShard(i, n, len(kernels), opts.Replication) {
-				continue
-			}
-			n, i := n, i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := stores[n].openShard(openCtx, i, fresh)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("kv: node %d opening %s: %w", n, shardGroupName(name, i), err)
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				stores[n].mu.Lock()
-				stores[n].shards[i] = rep
-				stores[n].mu.Unlock()
-			}()
+	shards := len(stores[0].shards)
+	return fanOut(len(stores)*shards, func(j int) error {
+		s, i := stores[j/shards], j%shards
+		if !hostsShard(i, s.opts.NodeIndex, s.opts.Nodes, s.opts.Replication) || !pick(s.opts.NodeIndex, i) {
+			return nil
 		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		for _, s := range stores {
-			s.abandon()
+		rep, err := s.openShard(ctx, i, fresh)
+		if err != nil {
+			cancel()
+			return fmt.Errorf("kv: node %d opening %s: %w", s.opts.NodeIndex, shardGroupName(s.name, i), err)
 		}
-		return nil, firstErr
-	}
+		s.mu.Lock()
+		s.shards[i] = rep
+		s.mu.Unlock()
+		return nil
+	})
+}
+
+// leaveAll unwinds a failed boot: each node leaves the shard groups it
+// already holds in total order (Store.Leave, 5 s per node), so the attempt
+// plants no dead members, which would inherit ack duty in resilient groups
+// and stall the next attempt.
+func leaveAll(stores []*Store) {
 	for _, s := range stores {
-		s.startSelfHeal()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = s.Leave(ctx)
+		cancel()
 	}
-	// A crash mid-handoff leaves pending routing in the recovered state;
-	// finish the migration deterministically before handing the store out.
-	if !fresh {
-		if err := stores[0].resumeResharding(ctx); err != nil {
-			for _, s := range stores {
-				s.Close()
-			}
-			return nil, fmt.Errorf("kv: resuming interrupted resharding of %q: %w", name, err)
-		}
-		// Likewise for transactions a kill-all interrupted between prepare
-		// and commit: the coordinators are certainly gone, so arbitrate
-		// every in-doubt prepare now instead of waiting out the janitor.
-		stores[0].recoverInDoubt(ctx, 0)
-	}
-	return stores, nil
 }
 
 // Join adds a node to a running store: every shard group the node's
@@ -810,6 +763,8 @@ func bootstrapDurable(ctx context.Context, kernels []*amoeba.Kernel, name string
 // hosted shard is first recovered from its write-ahead log, so Join also
 // restarts a durable node; when the whole group is gone it helps reform it
 // from the surviving logs. Bootstrap restarts whole single-process clusters.
+// Join opens its shards through the same path as Bootstrap, and a failed
+// Join leaves whatever it joined (Store.Leave).
 func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Replication > 0 && opts.Nodes <= 0 {
@@ -818,61 +773,30 @@ func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*St
 	if opts.DataDir != "" && opts.Nodes <= 0 {
 		return nil, fmt.Errorf("kv: joining %q durably requires Options.Nodes and Options.NodeIndex (the cold-start election needs the node's slot)", name)
 	}
-	shardCount := opts.Shards
-	if opts.DataDir != "" {
-		shardCount = discoverShardCount(opts.DataDir, name, opts.NodeIndex, shardCount)
-	}
-	s := newStore(name, k, opts)
-	s.mu.Lock()
-	for len(s.shards) < shardCount {
-		s.shards = append(s.shards, nil)
-	}
-	s.mu.Unlock()
-	var (
-		wg   sync.WaitGroup
-		errs = make([]error, shardCount)
-	)
-	for i := 0; i < shardCount; i++ {
-		if !hostsShard(i, opts.NodeIndex, opts.Nodes, opts.Replication) {
-			continue
-		}
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := s.openShard(ctx, i, false)
-			if err != nil {
-				errs[i] = fmt.Errorf("kv: joining shard %d of %q: %w", i, name, err)
-				return
-			}
-			s.mu.Lock()
-			s.shards[i] = rep
-			s.mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.abandon()
-			return nil, err
-		}
+	s := newStore(name, k, opts, discoverShardCount(opts, name, opts.NodeIndex))
+	all := func(int, int) bool { return true }
+	if err := openShards(ctx, []*Store{s}, false, all); err != nil {
+		leaveAll([]*Store{s})
+		return nil, err
 	}
 	s.startSelfHeal()
 	return s, nil
 }
 
-// openShard obtains one shard replica over whichever path the options name:
-// in-memory stores join with retry (joinShard); durable stores go through
-// shared.Open — recover the write-ahead log, join the live group if one
-// exists, otherwise elect the longest surviving log to reform it. bootstrap
-// marks a declared first boot (see shared.Durability.Bootstrap).
-func (s *Store) openShard(ctx context.Context, shard int, bootstrap bool) (*shared.Replica, error) {
+// openShard obtains one shard replica; it is the only code that decides
+// how. A durable store goes through shared.Open — recover the write-ahead
+// log, join the live group if one exists, otherwise elect the longest
+// surviving log to reform it — with fresh marking a declared first boot
+// (see shared.Durability.Bootstrap). In memory, a fresh boot's creator (node
+// shard mod Nodes) creates the group, and every other open joins it with
+// retry (joinShard).
+func (s *Store) openShard(ctx context.Context, shard int, fresh bool) (*shared.Replica, error) {
+	nodes := max(s.opts.Nodes, 1)
 	if s.opts.DataDir == "" {
+		if fresh && shard%nodes == s.opts.NodeIndex {
+			return shared.Create(ctx, s.kernel, shardGroupName(s.name, shard), s.newShardSM(shard), s.opts.Group)
+		}
 		return s.joinShard(ctx, shard)
-	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
 	}
 	dur := shared.Durability{
 		Dir:             shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, shard),
@@ -883,7 +807,7 @@ func (s *Store) openShard(ctx context.Context, shard int, bootstrap bool) (*shar
 		Rank:            s.opts.NodeIndex,
 		Peers:           nodes,
 		Preferred:       shard % nodes,
-		Bootstrap:       bootstrap,
+		Bootstrap:       fresh,
 	}
 	return shared.Open(ctx, s.kernel, shardGroupName(s.name, shard), s.newShardSM(shard), s.opts.Group, dur)
 }
@@ -912,34 +836,6 @@ func (s *Store) joinShard(ctx context.Context, shard int) (*shared.Replica, erro
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-}
-
-// abandon unwinds a partially constructed node (self-heal not started yet).
-// Unlike Close (crash semantics), it leaves each joined shard group in total
-// order, so a failed Bootstrap or Join does not plant dead members — which
-// would otherwise inherit ack duty in resilient groups and stall the next
-// attempt.
-func (s *Store) abandon() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.healCancel()
-	s.obsUnreg()
-	var wg sync.WaitGroup
-	for _, r := range s.snapshotShards() {
-		if r == nil {
-			continue
-		}
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = r.Leave(ctx) // Leave falls back to Close internally
-		}()
-	}
-	wg.Wait()
 }
 
 // Name returns the store's name.
@@ -1137,7 +1033,9 @@ func (s *Store) Close() {
 	s.healWG.Wait()
 }
 
-// Leave departs every shard group in total order and stops the node.
+// Leave departs every shard group in total order, all groups at once, and
+// stops the node. Shards whose goodbye does not complete before ctx ends are
+// closed anyway.
 func (s *Store) Leave(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -1150,14 +1048,10 @@ func (s *Store) Leave(ctx context.Context) error {
 	s.healCancel()
 	s.obsUnreg()
 	s.healWG.Wait()
-	var firstErr error
-	for _, r := range shards {
-		if r == nil {
-			continue
+	return fanOut(len(shards), func(i int) error {
+		if shards[i] == nil {
+			return nil
 		}
-		if err := r.Leave(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+		return shards[i].Leave(ctx) // Leave closes the replica even when it fails
+	})
 }

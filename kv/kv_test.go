@@ -609,26 +609,88 @@ func TestJoinGrowsCluster(t *testing.T) {
 	}
 }
 
-func TestBoundedReplicationPlacement(t *testing.T) {
+// TestLeaveShrinksEveryShard checks Store.Leave: the node departs every
+// shard group in total order, so the survivors' groups shrink at once and
+// keep taking writes with no Reset, even for the shard the leaver
+// sequenced.
+func TestLeaveShrinksEveryShard(t *testing.T) {
 	ctx := ctxT(t, 30*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	const nodes, shards, repl = 4, 4, 2
-	kernels := make([]*amoeba.Kernel, nodes)
-	for i := range kernels {
-		kernels[i], _ = net.NewKernel(fmt.Sprintf("br-node-%d", i))
+	const shards = 4
+	stores := newCluster(t, ctx, net, "leave", 3, Options{Shards: shards})
+	defer closeAll(stores[:2])
+	if err := stores[2].Leave(ctx); err != nil {
+		t.Fatalf("Leave: %v", err)
 	}
-	stores, err := Bootstrap(ctx, kernels, "bounded", Options{Shards: shards, Replication: repl})
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	defer func() {
-		for _, s := range stores {
-			s.Close()
+	for _, s := range stores[:2] {
+		for i := 0; i < shards; i++ {
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Members(i) != 2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %d still has %d members after node 2 left", i, s.Members(i))
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 		}
-	}()
-	// Shard i must live on exactly nodes {i, i+1} mod 4, with 2 members.
-	for i := 0; i < shards; i++ {
+	}
+	cl := stores[0].NewClient()
+	for i := 0; i < shards*4; i++ {
+		if err := cl.Put(ctx, fmt.Sprintf("after-leave-%d", i), []byte("v")); err != nil {
+			t.Fatalf("Put after Leave: %v", err)
+		}
+	}
+}
+
+// TestBoundedReplicationPlacement pins where each boot mode puts shards and
+// sequencers: shard i lives on nodes {i, i+1} mod 4, and node i mod 4
+// sequences it, whether the store boots in memory, durable on a fresh
+// directory, or durable again from its logs after every node was killed.
+func TestBoundedReplicationPlacement(t *testing.T) {
+	const nodes, shards = 4, 4
+	opts := Options{Shards: shards, Replication: 2}
+	for _, mode := range []string{"in-memory", "durable-fresh", "durable-restart"} {
+		t.Run(mode, func(t *testing.T) {
+			net := amoeba.NewMemoryNetwork()
+			defer func() { net.Close() }()
+			var stores []*Store
+			switch mode {
+			case "in-memory":
+				stores = newCluster(t, ctxT(t, 30*time.Second), net, "bounded", nodes, opts)
+			case "durable-fresh":
+				stores = bootDurable(t, net, "bounded", t.TempDir(), nodes, opts, 0)
+			case "durable-restart":
+				dir := t.TempDir()
+				first := bootDurable(t, net, "bounded", dir, nodes, opts, 0)
+				// One write per shard, applied on both hosts, so both logs
+				// end at the same seq and the cold-start election ties to
+				// the preferred rank. Without it the joiner wins: its log
+				// starts at the transfer point, past its join, while the
+				// creator journals no membership events and recovers 0.
+				for i := 0; i < shards; i++ {
+					if err := first[i%nodes].NewClient().Put(ctxT(t, 10*time.Second), keyOn(first[0], i), []byte("w")); err != nil {
+						t.Fatalf("Put on shard %d: %v", i, err)
+					}
+					waitShardSync(t, []*Store{first[i%nodes], first[(i+1)%nodes]}, i)
+				}
+				closeAll(first)
+				net.Close()
+				net = amoeba.NewMemoryNetwork()
+				stores = bootDurable(t, net, "bounded", dir, nodes, opts, 1)
+			}
+			defer closeAll(stores)
+			checkBoundedPlacement(t, stores, opts)
+		})
+	}
+}
+
+// checkBoundedPlacement asserts the placement of a 4-node, 4-shard store
+// with replication 2, and that clients serve exactly the hosted shards.
+func checkBoundedPlacement(t *testing.T, stores []*Store, opts Options) {
+	t.Helper()
+	ctx := ctxT(t, 30*time.Second)
+	nodes := len(stores)
+	for i := 0; i < opts.Shards; i++ {
 		for n := 0; n < nodes; n++ {
 			want := n == i || n == (i+1)%nodes
 			if got := stores[n].HostsShard(i); got != want {
@@ -636,19 +698,16 @@ func TestBoundedReplicationPlacement(t *testing.T) {
 			}
 		}
 		host := stores[i%nodes]
-		if m := host.Members(i); m != repl {
-			t.Errorf("shard %d has %d members, want %d", i, m, repl)
+		if m := host.Members(i); m != opts.Replication {
+			t.Errorf("shard %d has %d members, want %d", i, m, opts.Replication)
+		}
+		if !host.Replica(i).Info().IsSequencer {
+			t.Errorf("node %d does not sequence shard %d", i%nodes, i)
 		}
 	}
 	// A client on a hosting node serves the shard; on a non-hosting node
 	// it fails with a clear error rather than hanging.
-	var key0 string
-	for i := 0; ; i++ {
-		key0 = fmt.Sprintf("probe-%d", i)
-		if stores[0].ShardFor(key0) == 0 {
-			break
-		}
-	}
+	key0 := keyOn(stores[0], 0)
 	if err := stores[0].NewClient().Put(ctx, key0, []byte("v")); err != nil {
 		t.Fatalf("Put on hosting node: %v", err)
 	}
@@ -670,5 +729,14 @@ func TestBoundedReplicationPlacement(t *testing.T) {
 	}
 	if _, ok := stores[2].NewClient().LocalGet(key0); ok {
 		t.Fatal("LocalGet on non-hosting node reported found")
+	}
+}
+
+// keyOn returns a key that shard i owns.
+func keyOn(s *Store, i int) string {
+	for n := 0; ; n++ {
+		if k := fmt.Sprintf("probe-%d", n); s.ShardFor(k) == i {
+			return k
+		}
 	}
 }

@@ -215,16 +215,14 @@ func (p *txnPortion) subPortion(keys []string) *txnPortion {
 // operates under. Apply is deterministic; shared serialises all access.
 type mapSM struct {
 	items   map[string][]byte
-	results map[uint64]result
+	results map[uint64]windowed
 	order   []uint64 // result ids, oldest first, for deterministic eviction
 	window  int
-	// resultSums/dedupSum maintain the audit digest of the result window
-	// incrementally: per-entry folds (see resultSum in audit.go) combined
-	// with a wrapping sum, added on insert and subtracted on eviction, so
-	// digesting the window is O(1) instead of a 64Ki-entry walk per audit.
-	// Derived from results — rebuilt on restore, never snapshotted.
-	resultSums map[uint64]uint64
-	dedupSum   uint64
+	// dedupSum is the audit digest of the result window, kept
+	// incrementally: the wrapping sum of every entry's fold, added on
+	// insert and subtracted on eviction, so digesting the window is O(1)
+	// instead of a 64Ki-entry walk per audit.
+	dedupSum uint64
 
 	// Transaction state (replicated): portions keyed by txn id, the FIFO
 	// eviction queue of RESOLVED portion ids (prepared portions never
@@ -275,17 +273,21 @@ type mapSM struct {
 	onAudit func(shard int, d obs.Digest)
 }
 
+// windowed is one result-window entry: the result plus its audit fold
+// (resultSum in audit.go), which is derived from the result — rebuilt on
+// restore, never snapshotted.
+type windowed struct {
+	result
+	sum uint64
+}
+
 var _ shared.StateMachine = (*mapSM)(nil)
 var _ shared.SeqApplier = (*mapSM)(nil)
 
 func newMapSM(store string, shard int, rt Routing, window int, onRouting func(int, Routing, Routing, bool)) *mapSM {
-	if window <= 0 {
-		window = defaultResultWindow
-	}
 	s := &mapSM{
 		items:       make(map[string][]byte),
-		results:     make(map[uint64]result),
-		resultSums:  make(map[uint64]uint64),
+		results:     make(map[uint64]windowed),
 		window:      window,
 		txns:        make(map[uint64]*txnPortion),
 		locks:       make(map[string]uint64),
@@ -303,19 +305,17 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 }
 
 func (s *mapSM) setResult(id uint64, r result) {
-	if _, dup := s.results[id]; !dup {
-		s.order = append(s.order, id)
+	if prev, dup := s.results[id]; dup {
+		s.dedupSum -= prev.sum
 	} else {
-		s.dedupSum -= s.resultSums[id]
+		s.order = append(s.order, id)
 	}
-	s.results[id] = r
-	h := resultSum(id, r)
-	s.resultSums[id] = h
-	s.dedupSum += h
+	w := windowed{result: r, sum: resultSum(id, r)}
+	s.results[id] = w
+	s.dedupSum += w.sum
 	for len(s.order) > s.window {
 		old := s.order[0]
-		s.dedupSum -= s.resultSums[old]
-		delete(s.resultSums, old)
+		s.dedupSum -= s.results[old].sum
 		delete(s.results, old)
 		s.order = s.order[1:]
 	}
@@ -324,8 +324,8 @@ func (s *mapSM) setResult(id uint64, r result) {
 // resultOf returns command id's result, if it has applied and is still in
 // the window.
 func (s *mapSM) resultOf(id uint64) (result, bool) {
-	r, ok := s.results[id]
-	return r, ok
+	w, ok := s.results[id]
+	return w.result, ok
 }
 
 // serves reports whether this shard serves key at this point in the total
@@ -890,7 +890,7 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 		Pending: s.pending,
 	}
 	for _, id := range s.order {
-		st.Results = append(st.Results, savedResult{ID: id, result: s.results[id]})
+		st.Results = append(st.Results, savedResult{ID: id, result: s.results[id].result})
 	}
 	txnIDs := make([]uint64, 0, len(s.txns))
 	for id := range s.txns {
@@ -911,8 +911,7 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 func (s *mapSM) Restore(snap []byte) error {
 	if snap == nil {
 		s.items = make(map[string][]byte)
-		s.results = make(map[uint64]result)
-		s.resultSums = make(map[uint64]uint64)
+		s.results = make(map[uint64]windowed)
 		s.dedupSum = 0
 		s.order = nil
 		s.txns = make(map[uint64]*txnPortion)
@@ -937,16 +936,14 @@ func (s *mapSM) Restore(snap []byte) error {
 	if s.items == nil {
 		s.items = make(map[string][]byte)
 	}
-	s.results = make(map[uint64]result, len(st.Results))
-	s.resultSums = make(map[uint64]uint64, len(st.Results))
+	s.results = make(map[uint64]windowed, len(st.Results))
 	s.dedupSum = 0
 	s.order = make([]uint64, 0, len(st.Results))
 	for _, r := range st.Results {
 		s.order = append(s.order, r.ID)
-		s.results[r.ID] = r.result
-		h := resultSum(r.ID, r.result)
-		s.resultSums[r.ID] = h
-		s.dedupSum += h
+		w := windowed{result: r.result, sum: resultSum(r.ID, r.result)}
+		s.results[r.ID] = w
+		s.dedupSum += w.sum
 	}
 	if st.Window > 0 {
 		s.window = st.Window

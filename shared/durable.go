@@ -334,39 +334,47 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 	}
 }
 
-// createSeeded re-creates (or first-creates) the group from this replica's
-// recovered history: the new sequence space starts past everything the log
-// knows, and a checkpoint of the recovered state marks the log non-virgin
-// and bounds the next recovery's replay.
+// createSeeded creates the group, its sequence space starting past
+// recovered, and serves its state from this replica. With a log it
+// re-creates (or first-creates) a durable group from the replica's
+// recovered history: a checkpoint of the recovered state marks the log
+// non-virgin and bounds the next recovery's replay. A nil log is Create.
+// The log is closed on failure.
 func createSeeded(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions, log *wal.Log, dur Durability, recovered uint32) (*Replica, error) {
+	fail := func(g *amoeba.Group, err error) (*Replica, error) {
+		if g != nil {
+			g.Close()
+		}
+		if log != nil {
+			log.Close()
+		}
+		return nil, err
+	}
 	opts.FirstSeq = recovered
 	g, err := k.CreateGroup(ctx, name, opts)
 	if err != nil {
-		log.Close()
-		return nil, fmt.Errorf("shared: re-creating %q: %w", name, err)
+		return fail(nil, fmt.Errorf("shared: creating %q: %w", name, err))
 	}
 	r := newReplica(k, g, name, sm, opts.Obs)
 	r.lastApplied = recovered
-	r.log = log
-	r.dur = dur
-	r.durable = true
-	snap, err := sm.Snapshot()
-	if err == nil {
-		var digest uint64
-		if r.digester != nil {
-			digest = r.digester.StateDigest()
+	if log != nil {
+		r.log = log
+		r.dur = dur
+		r.durable = true
+		snap, err := sm.Snapshot()
+		if err == nil {
+			var digest uint64
+			if r.digester != nil {
+				digest = r.digester.StateDigest()
+			}
+			err = log.CheckpointDigest(recovered, digest, snap)
 		}
-		err = log.CheckpointDigest(recovered, digest, snap)
-	}
-	if err != nil {
-		g.Close()
-		log.Close()
-		return nil, fmt.Errorf("shared: checkpointing recovered state of %q: %w", name, err)
+		if err != nil {
+			return fail(g, fmt.Errorf("shared: checkpointing recovered state of %q: %w", name, err))
+		}
 	}
 	if err := r.serveTransfers(); err != nil {
-		g.Close()
-		log.Close()
-		return nil, err
+		return fail(g, err)
 	}
 	r.start()
 	return r, nil

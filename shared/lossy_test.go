@@ -183,6 +183,14 @@ func TestPipelinedFIFOAcrossFailoverOnLossyNetwork(t *testing.T) {
 	if err := r2.Submit(ctx, []byte("fin")); err != nil {
 		t.Fatalf("final submit: %v", err)
 	}
+	// Submit returns once the marker is sequenced, not applied: wait for
+	// r2 to apply it, so hi covers the whole stream.
+	if err := r2.Wait(ctx, func(sm StateMachine) bool {
+		l := sm.(*logSM).Log
+		return len(l) > 0 && l[len(l)-1] == "fin"
+	}); err != nil {
+		t.Fatalf("waiting for the final marker: %v", err)
+	}
 	hi := maxSeq(r2, r3)
 	defer func() {
 		if t.Failed() {

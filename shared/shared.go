@@ -119,17 +119,7 @@ type Replica struct {
 // Create starts the first replica of a named state machine. The calling
 // process becomes the group's sequencer.
 func Create(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions) (*Replica, error) {
-	g, err := k.CreateGroup(ctx, name, opts)
-	if err != nil {
-		return nil, fmt.Errorf("shared: creating %q: %w", name, err)
-	}
-	r := newReplica(k, g, name, sm, opts.Obs)
-	if err := r.serveTransfers(); err != nil {
-		g.Close()
-		return nil, err
-	}
-	r.start()
-	return r, nil
+	return createSeeded(ctx, k, name, sm, opts, nil, Durability{}, opts.FirstSeq)
 }
 
 // Join adds a replica to a running state machine, performing state transfer:
